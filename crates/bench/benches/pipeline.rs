@@ -39,8 +39,8 @@ fn bench_plan_stages(b: &mut Bencher) {
 
 /// What sampling buys at simulate time: the full-stream sweep versus
 /// representative intervals plus warm-up replay and the combine step.
-/// The v2 encode (event stream + interval-index footer) rides along so
-/// the trace-cache write path is gated too.
+/// The trace encode rides along so the trace-cache write path is gated
+/// too.
 fn bench_sampled_vs_full(b: &mut Bencher) {
     let trace = phased_trace();
     let plan = pipeline::plan(&trace, 1024, 4);
@@ -50,7 +50,7 @@ fn bench_sampled_vs_full(b: &mut Bencher) {
         pipeline::combine(&pipeline::simulate_sampled(&trace, &plan, &build_predictor))
             .simulated_events
     });
-    group.bench("encode-v2", || trace.to_bytes().len());
+    group.bench("encode", || trace.to_bytes().len());
 }
 
 fn main() {

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release -p ivm-bench --bin figure14_16 -- [forth|java]`
 //! (default: both)
 
-use ivm_bench::{frontend, run_cells, smoke, trace_store, Cell, Report, Row};
+use ivm_bench::{frontend, run_cells, smoke, Cell, Report, Row};
 use ivm_cache::CpuSpec;
 use ivm_core::{CoverAlgorithm, Profile, ReplicaSelection, Technique};
 
@@ -82,21 +82,11 @@ fn forth_sweep(out: &mut Report) {
     let totals: &[usize] =
         if smoke() { &[0, 100, 400] } else { &[0, 25, 50, 100, 200, 400, 800, 1600] };
     // Record the execution once and replay it per configuration — the
-    // sweep measures the same run under many layouts. Each cell's replay
-    // also materialises its dispatch trace in the trace store, so later
-    // predictor sweeps over these configurations start from cache.
+    // sweep measures the same run under many layouts.
     let image = forth.image(name);
     let (trace, _) = ivm_core::record(&*image).expect("recording run");
     let (cycles, _) = sweep(&format!("forth/{name}"), totals, |tech| {
-        let (r, _) = trace_store().capture_measured(
-            "forth",
-            name,
-            &*image,
-            &trace,
-            tech,
-            &cpu,
-            Some(&training),
-        );
+        let r = ivm_core::measure_trace(&*image, &trace, tech, &cpu, Some(&training));
         (r.cycles, r.counters.indirect_mispredicted)
     });
     let cols = percent_columns();
@@ -117,15 +107,7 @@ fn java_sweep(out: &mut Report) {
     let image = java.image("mpeg");
     let (trace, _) = ivm_core::record(&*image).expect("recording run");
     let (cycles, mispreds) = sweep("java/mpeg", totals, |tech| {
-        let (r, _) = trace_store().capture_measured(
-            "java",
-            "mpeg",
-            &*image,
-            &trace,
-            tech,
-            &cpu,
-            Some(&training),
-        );
+        let r = ivm_core::measure_trace(&*image, &trace, tech, &cpu, Some(&training));
         (r.cycles, r.counters.indirect_mispredicted)
     });
     let cols = percent_columns();

@@ -31,7 +31,7 @@ use ivm_bpred::{
 };
 use ivm_cache::CpuSpec;
 use ivm_core::{
-    dispatch_spec_hash, DispatchTrace, Engine, ExecutionTrace, GuestVm, Memo, Profile, RunResult,
+    dispatch_spec_hash, DispatchTrace, Engine, ExecutionTrace, GuestVm, Memo, Profile,
     SharedObserver, Technique,
 };
 use ivm_obs::TraceMeta;
@@ -167,54 +167,6 @@ impl TraceStore {
         technique: Technique,
         training: Option<&Profile>,
     ) -> Arc<StoredTrace> {
-        self.acquire(frontend, bench, vm, exec, technique, training, None).1
-    }
-
-    /// Like [`TraceStore::get_or_capture`], but also measures the replay
-    /// on `cpu` and returns the [`RunResult`].
-    ///
-    /// The result is byte-identical whether the trace was cached or not:
-    /// a cache hit replays the measurement without an observer, a miss
-    /// replays it once with the capturing observer attached — the
-    /// observer never changes engine behaviour, only watches it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `technique` needs a profile and `training` is `None`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn capture_measured<G: GuestVm + ?Sized>(
-        &self,
-        frontend: &str,
-        bench: &str,
-        vm: &G,
-        exec: &ExecutionTrace,
-        technique: Technique,
-        cpu: &CpuSpec,
-        training: Option<&Profile>,
-    ) -> (RunResult, Arc<StoredTrace>) {
-        let (result, stored) =
-            self.acquire(frontend, bench, vm, exec, technique, training, Some(cpu));
-        let result = result.unwrap_or_else(|| {
-            // Cache hit: the capturing replay did not run, so measure now.
-            ivm_core::measure_trace(vm, exec, technique, cpu, training)
-        });
-        (result, stored)
-    }
-
-    /// Resolves one trace: memo, then disk (validated against the spec
-    /// hash), then a fresh capture. Returns the measuring replay's result
-    /// if (and only if) a capture ran with `cpu` supplied.
-    #[allow(clippy::too_many_arguments)]
-    fn acquire<G: GuestVm + ?Sized>(
-        &self,
-        frontend: &str,
-        bench: &str,
-        vm: &G,
-        exec: &ExecutionTrace,
-        technique: Technique,
-        training: Option<&Profile>,
-        cpu: Option<&CpuSpec>,
-    ) -> (Option<RunResult>, Arc<StoredTrace>) {
         let tech_id = technique.id();
         let key = format!("{frontend}/{bench}/{tech_id}");
         let expected = dispatch_spec_hash(vm.spec(), vm.program(), technique, training);
@@ -224,7 +176,6 @@ impl TraceStore {
             .map(|d| d.join(frontend).join(bench).join(format!("{tech_id}.dtrace")));
 
         let fresh = StdCell::new(false);
-        let measured: StdCell<Option<RunResult>> = StdCell::new(None);
         let stored = self.cache.get_or_build(key, || {
             if let Some(st) = path.as_deref().and_then(|p| load_valid(p, expected, &tech_id)) {
                 return st;
@@ -232,12 +183,11 @@ impl TraceStore {
             fresh.set(true);
             let _span = ivm_obs::span::enter("trace_capture");
             let observer = Rc::new(RefCell::new(DispatchTrace::new(expected, tech_id.clone())));
-            let engine = Engine::for_cpu(cpu.unwrap_or(&CpuSpec::celeron800()))
+            // The dispatch stream does not depend on the machine model:
+            // control flow never consults the predictor or the caches.
+            let engine = Engine::for_cpu(&CpuSpec::celeron800())
                 .with_observer(observer.clone() as SharedObserver);
-            let result = ivm_core::measure_trace_with(vm, exec, technique, engine, training);
-            if cpu.is_some() {
-                measured.set(Some(result));
-            }
+            ivm_core::measure_trace_with(vm, exec, technique, engine, training);
             let trace = observer.borrow().clone();
             let encoded = trace.to_bytes();
             if let Some(p) = path.as_deref() {
@@ -246,7 +196,7 @@ impl TraceStore {
             StoredTrace { bytes: encoded.len() as u64, trace }
         });
         record_meta(!fresh.get(), stored.trace.len() as u64, stored.bytes);
-        (measured.take(), stored)
+        stored
     }
 }
 
@@ -318,6 +268,17 @@ mod tests {
         std::fs::write(&path, b"IVMTgarbage, definitely not a dispatch trace").unwrap();
         let (recovered, _) = capture_once(&TraceStore::with_dir(&dir), &dir);
         assert_eq!(recovered, original, "garbage file is recaptured");
+
+        // A file from an earlier format version is stale: recaptured and
+        // rewritten at the current version.
+        let mut stale = good.clone();
+        stale[4..8].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(&path, &stale).unwrap();
+        let (recovered, _) = capture_once(&TraceStore::with_dir(&dir), &dir);
+        assert_eq!(recovered, original, "stale-version file is recaptured");
+        let rewritten = std::fs::read(&path).unwrap();
+        assert_eq!(rewritten[4..8], ivm_core::DTRACE_VERSION.to_le_bytes());
+        assert_eq!(rewritten, good, "recapture rewrites the artifact");
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -224,7 +224,7 @@ fn check_chrome_trace(name: &str, json_dir: &std::path::Path) -> Result<(), Stri
 /// Binaries that acquire dispatch traces through the trace store; their
 /// manifests must account for every capture (in-memory under smoke, but
 /// the accounting is identical).
-const TRACE_BINS: &[&str] = &["figure14_16", "modern_zoo", "sampling", "simulator_study"];
+const TRACE_BINS: &[&str] = &["modern_zoo", "sampling", "simulator_study"];
 
 fn check_trace_section(name: &str, manifest: &Json) -> Result<(), String> {
     if !TRACE_BINS.contains(&name) {

@@ -11,7 +11,7 @@
 //! study wants to evaluate, and [`simulate_many`] feeds the decoded
 //! stream through all of them in one pass.
 //!
-//! # Binary format (version 2; version-1 files still decode)
+//! # Binary format (version 3)
 //!
 //! ```text
 //! magic      4  b"IVMT"
@@ -20,13 +20,9 @@
 //! tech_len   4  u32 LE   — length of the technique id
 //! technique  n  UTF-8    — Technique::id() of the captured translation
 //! count      8  u64 LE   — number of dispatch events
-//! ival_len   8  u64 LE   — events per interval slice (v2 only, >= 1)
 //! events     …  per event: zigzag-varint delta of the branch address
 //!               from the previous event's branch, then zigzag-varint
 //!               delta of the target address from the previous target
-//! footer     …  interval index (v2 only, layout below)
-//! flen       8  u64 LE   — byte length of the footer region (v2 only)
-//! fmagic     4  b"IVMX"  — footer trailer magic (v2 only)
 //! ```
 //!
 //! Dispatch branches are heavily repeated and targets cluster around the
@@ -37,36 +33,9 @@
 //! [`SpecHasher`]); a store finding a trace whose header hash differs
 //! from the freshly computed one must discard and recapture.
 //!
-//! ## The version-2 interval-index footer
-//!
-//! Version 2 slices the stream into fixed-size dispatch intervals of
-//! `ival_len` events (the last interval may be short) and appends a
-//! *seekable* index: per interval, the byte offset of its first event
-//! within the events region, the absolute `(branch, target)` pair the
-//! interval's first delta is relative to (so a reader can start decoding
-//! mid-stream), and the interval's basic-block frequency vector (BBV) —
-//! how often each distinct dispatch-branch address (≈ one executed
-//! handler / basic block) fired inside the interval. The footer is
-//! locatable from either end: sequentially after the events, or via the
-//! fixed-size `flen` + `IVMX` trailer at the very end of the file.
-//!
-//! ```text
-//! dims_count  varint      — number of distinct branch addresses
-//! dims        …           — zigzag-varint deltas, first-appearance order
-//! intervals   varint      — number of intervals (= ceil(count/ival_len))
-//! per interval:
-//!   offset    varint      — first event's byte offset into the events region
-//!   base_b    varint      — absolute branch addr the first delta is from
-//!   base_t    varint      — absolute target addr the first delta is from
-//!   len       varint      — events in this interval
-//!   bbv_len   varint      — entries in the frequency vector
-//!   per entry: dim varint, count varint   (ascending dim order)
-//! ```
-//!
-//! The decoder is as strict about the footer as about the events: it
-//! recomputes the interval index from the decoded stream and rejects any
-//! footer that disagrees ([`DtraceError::BadIntervalIndex`]), so a
-//! corrupted index can never mis-slice a sampling study.
+//! The file holds the stream and nothing derived from it: studies that
+//! slice the stream into intervals compute the slicing in memory with
+//! [`DispatchTrace::interval_index`].
 
 use std::collections::HashMap;
 
@@ -84,32 +53,17 @@ use crate::trace::checked_u32;
 pub const DTRACE_MAGIC: [u8; 4] = *b"IVMT";
 
 /// Current version of the dispatch-trace format. Bump on any layout
-/// change; decoders reject versions they do not know. Version 1 (no
-/// interval index) is still decoded for compatibility with traces
-/// captured before the footer existed.
-pub const DTRACE_VERSION: u32 = 2;
-
-/// The legacy footer-less format version; [`DispatchTrace::from_bytes`]
-/// still accepts it.
-pub const DTRACE_VERSION_V1: u32 = 1;
-
-/// Trailer magic closing the version-2 interval-index footer, so tools
-/// can locate the footer from the end of the file without decoding the
-/// event stream.
-pub const DTRACE_FOOTER_MAGIC: [u8; 4] = *b"IVMX";
-
-/// Events per interval slice written by [`DispatchTrace::to_bytes`].
-/// Studies that want a different slicing recompute it in memory with
-/// [`DispatchTrace::interval_index`]; the on-disk index is the default.
-pub const DEFAULT_INTERVAL_LEN: u64 = 4096;
+/// change; the decoder accepts this version only, so files written under
+/// an earlier layout fail with [`DtraceError::BadVersion`] and a trace
+/// store recaptures them.
+pub const DTRACE_VERSION: u32 = 3;
 
 /// Why a byte buffer failed to decode as a [`DispatchTrace`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DtraceError {
     /// The buffer does not start with [`DTRACE_MAGIC`].
     BadMagic,
-    /// The version field is neither [`DTRACE_VERSION`] nor
-    /// [`DTRACE_VERSION_V1`].
+    /// The version field is not [`DTRACE_VERSION`].
     BadVersion(u32),
     /// The buffer ends before the declared header or event count.
     Truncated,
@@ -119,9 +73,6 @@ pub enum DtraceError {
     BadTechnique,
     /// Bytes remain after the declared number of events.
     TrailingBytes,
-    /// The version-2 interval-index footer is malformed or disagrees
-    /// with the index recomputed from the decoded event stream.
-    BadIntervalIndex(&'static str),
 }
 
 impl std::fmt::Display for DtraceError {
@@ -135,9 +86,6 @@ impl std::fmt::Display for DtraceError {
             DtraceError::BadVarint => write!(f, "dispatch trace has a malformed varint"),
             DtraceError::BadTechnique => write!(f, "dispatch trace technique id is not UTF-8"),
             DtraceError::TrailingBytes => write!(f, "dispatch trace has trailing bytes"),
-            DtraceError::BadIntervalIndex(why) => {
-                write!(f, "dispatch trace interval index is invalid: {why}")
-            }
         }
     }
 }
@@ -376,17 +324,6 @@ fn build_interval_index(events: &[(Addr, Addr)], interval_len: u64) -> IntervalI
     IntervalIndex { interval_len, total_events: events.len() as u64, dims, intervals }
 }
 
-/// The byte offset (into the events region), and the delta bases, of
-/// each interval's first event — recorded while encoding or decoding
-/// the stream, and persisted in the version-2 footer so a reader can
-/// seek straight to an interval.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct SeekPoint {
-    offset: u64,
-    base_branch: Addr,
-    base_target: Addr,
-}
-
 /// The captured `(branch, target)` stream of one run's indirect
 /// dispatches, plus the identity of the translation it was captured from.
 ///
@@ -478,38 +415,13 @@ impl DispatchTrace {
         build_interval_index(&self.events, interval_len)
     }
 
-    /// Serialises the trace into the version-2 binary format: header,
-    /// delta-encoded events, and the seekable interval-index footer
-    /// (sliced at [`DEFAULT_INTERVAL_LEN`]).
+    /// Serialises the trace into the binary format: header, then the
+    /// delta-encoded events.
     pub fn to_bytes(&self) -> Vec<u8> {
         let _span = ivm_harness::span::enter("trace_encode");
-        let index = build_interval_index(&self.events, DEFAULT_INTERVAL_LEN);
-        let mut out = Vec::with_capacity(48 + self.technique.len() + self.events.len() * 3);
-        self.encode_header(&mut out, DTRACE_VERSION);
-        out.extend_from_slice(&DEFAULT_INTERVAL_LEN.to_le_bytes());
-        let seeks = self.encode_events(&mut out, DEFAULT_INTERVAL_LEN);
-        let footer = encode_footer(&index, &seeks);
-        out.extend_from_slice(&footer);
-        out.extend_from_slice(&(footer.len() as u64).to_le_bytes());
-        out.extend_from_slice(&DTRACE_FOOTER_MAGIC);
-        out
-    }
-
-    /// Serialises the trace into the legacy version-1 format (no interval
-    /// index). Kept so compatibility tests and external tooling can
-    /// produce footer-less traces; new captures always write version 2.
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        let _span = ivm_harness::span::enter("trace_encode");
-        let mut out = Vec::with_capacity(32 + self.technique.len() + self.events.len() * 3);
-        self.encode_header(&mut out, DTRACE_VERSION_V1);
-        self.encode_events(&mut out, u64::MAX);
-        out
-    }
-
-    /// The fixed-size header shared by both format versions.
-    fn encode_header(&self, out: &mut Vec<u8>, version: u32) {
+        let mut out = Vec::with_capacity(28 + self.technique.len() + self.events.len() * 3);
         out.extend_from_slice(&DTRACE_MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&DTRACE_VERSION.to_le_bytes());
         out.extend_from_slice(&self.spec_hash.to_le_bytes());
         // Same checked 32-bit width policy as ExecutionTrace: error, never
         // silently wrap (a >4 GiB technique id is always a caller bug).
@@ -518,42 +430,24 @@ impl DispatchTrace {
         );
         out.extend_from_slice(self.technique.as_bytes());
         out.extend_from_slice(&(self.events.len() as u64).to_le_bytes());
-    }
-
-    /// Delta-encodes the event stream, recording one [`SeekPoint`] per
-    /// `interval_len` boundary (pass `u64::MAX` to record none).
-    fn encode_events(&self, out: &mut Vec<u8>, interval_len: u64) -> Vec<SeekPoint> {
-        let events_start = out.len();
-        let mut seeks = Vec::new();
         let (mut prev_branch, mut prev_target) = (0u64, 0u64);
-        for (i, &(branch, target)) in self.events.iter().enumerate() {
-            if interval_len != u64::MAX && (i as u64).is_multiple_of(interval_len) {
-                seeks.push(SeekPoint {
-                    offset: (out.len() - events_start) as u64,
-                    base_branch: prev_branch,
-                    base_target: prev_target,
-                });
-            }
-            write_varint(out, zigzag(branch.wrapping_sub(prev_branch) as i64));
-            write_varint(out, zigzag(target.wrapping_sub(prev_target) as i64));
+        for &(branch, target) in &self.events {
+            write_varint(&mut out, zigzag(branch.wrapping_sub(prev_branch) as i64));
+            write_varint(&mut out, zigzag(target.wrapping_sub(prev_target) as i64));
             prev_branch = branch;
             prev_target = target;
         }
-        seeks
+        out
     }
 
-    /// Decodes a trace previously produced by [`DispatchTrace::to_bytes`]
-    /// (or the legacy [`DispatchTrace::to_bytes_v1`]).
+    /// Decodes a trace previously produced by [`DispatchTrace::to_bytes`].
     ///
     /// # Errors
     ///
-    /// Rejects wrong magic, unknown versions, truncation, malformed
-    /// varints, non-UTF-8 technique ids and trailing bytes — a corrupt
-    /// trace must never decode into a slightly-wrong dispatch stream.
-    /// For version-2 traces the interval-index footer is held to the
-    /// same bar: it is recomputed from the decoded stream and any
-    /// disagreement (dims, BBVs, byte offsets, delta bases, trailer
-    /// length or magic) is [`DtraceError::BadIntervalIndex`].
+    /// Rejects wrong magic, any version but [`DTRACE_VERSION`],
+    /// truncation, malformed varints, non-UTF-8 technique ids and
+    /// trailing bytes — a corrupt trace must never decode into a
+    /// slightly-wrong dispatch stream.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DtraceError> {
         let _span = ivm_harness::span::enter("trace_decode");
         let mut r = Reader { bytes, pos: 0 };
@@ -561,7 +455,7 @@ impl DispatchTrace {
             return Err(DtraceError::BadMagic);
         }
         let version = u32::from_le_bytes(r.take(4)?.try_into().expect("4 bytes"));
-        if version != DTRACE_VERSION && version != DTRACE_VERSION_V1 {
+        if version != DTRACE_VERSION {
             return Err(DtraceError::BadVersion(version));
         }
         let spec_hash = u64::from_le_bytes(r.take(8)?.try_into().expect("8 bytes"));
@@ -570,125 +464,23 @@ impl DispatchTrace {
             .map_err(|_| DtraceError::BadTechnique)?
             .to_owned();
         let count = u64::from_le_bytes(r.take(8)?.try_into().expect("8 bytes"));
-        let interval_len = if version >= 2 {
-            let len = u64::from_le_bytes(r.take(8)?.try_into().expect("8 bytes"));
-            if len == 0 {
-                return Err(DtraceError::BadIntervalIndex("zero interval length"));
-            }
-            len
-        } else {
-            u64::MAX
-        };
         // Guard allocation: a corrupt count cannot ask for more events than
         // the remaining bytes could possibly encode (>= 2 bytes per event).
         if count / 2 > r.bytes.len() as u64 {
             return Err(DtraceError::Truncated);
         }
-        let events_start = r.pos;
         let mut events = Vec::with_capacity(count as usize);
-        let mut seeks = Vec::new();
         let (mut prev_branch, mut prev_target) = (0u64, 0u64);
-        for i in 0..count {
-            if version >= 2 && i % interval_len == 0 {
-                seeks.push(SeekPoint {
-                    offset: (r.pos - events_start) as u64,
-                    base_branch: prev_branch,
-                    base_target: prev_target,
-                });
-            }
+        for _ in 0..count {
             prev_branch = prev_branch.wrapping_add(unzigzag(r.varint()?) as u64);
             prev_target = prev_target.wrapping_add(unzigzag(r.varint()?) as u64);
             events.push((prev_branch, prev_target));
-        }
-        if version >= 2 {
-            decode_and_check_footer(&mut r, &events, interval_len, &seeks)?;
         }
         if r.pos != bytes.len() {
             return Err(DtraceError::TrailingBytes);
         }
         Ok(Self { spec_hash, technique, events })
     }
-}
-
-/// Serialises the interval-index footer region (everything between the
-/// events and the `flen`/`IVMX` trailer).
-fn encode_footer(index: &IntervalIndex, seeks: &[SeekPoint]) -> Vec<u8> {
-    debug_assert_eq!(index.intervals.len(), seeks.len());
-    let mut out = Vec::new();
-    write_varint(&mut out, index.dims.len() as u64);
-    let mut prev_dim = 0u64;
-    for &addr in &index.dims {
-        write_varint(&mut out, zigzag(addr.wrapping_sub(prev_dim) as i64));
-        prev_dim = addr;
-    }
-    write_varint(&mut out, index.intervals.len() as u64);
-    for (iv, seek) in index.intervals.iter().zip(seeks) {
-        write_varint(&mut out, seek.offset);
-        write_varint(&mut out, seek.base_branch);
-        write_varint(&mut out, seek.base_target);
-        write_varint(&mut out, iv.len);
-        write_varint(&mut out, iv.bbv.len() as u64);
-        for &(dim, bbv_count) in &iv.bbv {
-            write_varint(&mut out, u64::from(dim));
-            write_varint(&mut out, bbv_count);
-        }
-    }
-    out
-}
-
-/// Decodes the version-2 footer and verifies it against the interval
-/// index recomputed from the freshly decoded stream.
-fn decode_and_check_footer(
-    r: &mut Reader<'_>,
-    events: &[(Addr, Addr)],
-    interval_len: u64,
-    seeks: &[SeekPoint],
-) -> Result<(), DtraceError> {
-    let bad = DtraceError::BadIntervalIndex;
-    let footer_start = r.pos;
-    let expected = build_interval_index(events, interval_len);
-    let dims_count = r.varint()?;
-    if dims_count != expected.dims.len() as u64 {
-        return Err(bad("dimension count disagrees with the stream"));
-    }
-    let mut prev_dim = 0u64;
-    for &want in &expected.dims {
-        prev_dim = prev_dim.wrapping_add(unzigzag(r.varint()?) as u64);
-        if prev_dim != want {
-            return Err(bad("dimension dictionary disagrees with the stream"));
-        }
-    }
-    let n_intervals = r.varint()?;
-    if n_intervals != expected.intervals.len() as u64 {
-        return Err(bad("interval count disagrees with the stream"));
-    }
-    for (iv, seek) in expected.intervals.iter().zip(seeks) {
-        if r.varint()? != seek.offset {
-            return Err(bad("interval byte offset disagrees with the stream"));
-        }
-        if r.varint()? != seek.base_branch || r.varint()? != seek.base_target {
-            return Err(bad("interval delta base disagrees with the stream"));
-        }
-        if r.varint()? != iv.len {
-            return Err(bad("interval event count disagrees with the stream"));
-        }
-        if r.varint()? != iv.bbv.len() as u64 {
-            return Err(bad("BBV entry count disagrees with the stream"));
-        }
-        for &(dim, bbv_count) in &iv.bbv {
-            if r.varint()? != u64::from(dim) || r.varint()? != bbv_count {
-                return Err(bad("BBV entry disagrees with the stream"));
-            }
-        }
-    }
-    let footer_len = (r.pos - footer_start) as u64;
-    if u64::from_le_bytes(r.take(8)?.try_into().expect("8 bytes")) != footer_len {
-        return Err(bad("trailer length disagrees with the footer"));
-    }
-    if r.take(4)? != DTRACE_FOOTER_MAGIC {
-        return Err(bad("missing IVMX trailer magic"));
-    }
-    Ok(())
 }
 
 impl DispatchObserver for DispatchTrace {
@@ -941,82 +733,6 @@ mod tests {
         let pts = idx.normalized_points();
         assert_eq!(pts[0], vec![2.0 / 3.0, 1.0 / 3.0]);
         assert_eq!(pts[2], vec![1.0, 0.0]);
-    }
-
-    #[test]
-    fn v1_bytes_still_decode_without_an_index() {
-        let t = sample();
-        let v1 = t.to_bytes_v1();
-        let decoded = DispatchTrace::from_bytes(&v1).unwrap();
-        assert_eq!(decoded, t, "legacy traces must decode unchanged");
-        // The legacy format really is footer-less: no IVMX trailer, and
-        // strictly shorter than the version-2 encoding of the same trace.
-        assert_ne!(&v1[v1.len() - 4..], DTRACE_FOOTER_MAGIC);
-        assert!(v1.len() < t.to_bytes().len());
-        // Truncating v1 still reports Truncated, not index errors.
-        assert_eq!(DispatchTrace::from_bytes(&v1[..v1.len() - 1]), Err(DtraceError::Truncated));
-    }
-
-    #[test]
-    fn v2_footer_is_locatable_from_the_end() {
-        let t = sample();
-        let bytes = t.to_bytes();
-        let n = bytes.len();
-        assert_eq!(&bytes[n - 4..], DTRACE_FOOTER_MAGIC);
-        let flen = u64::from_le_bytes(bytes[n - 12..n - 4].try_into().expect("8 bytes")) as usize;
-        let footer = &bytes[n - 12 - flen..n - 12];
-        // The extracted footer starts with the dimension count.
-        let mut r = Reader { bytes: footer, pos: 0 };
-        assert_eq!(r.varint().unwrap(), t.interval_index(DEFAULT_INTERVAL_LEN).dims().len() as u64);
-    }
-
-    #[test]
-    fn v2_footer_corruption_is_rejected() {
-        let good = sample().to_bytes();
-        let n = good.len();
-
-        // Damaged trailer magic.
-        let mut bad_magic = good.clone();
-        bad_magic[n - 1] = b'Y';
-        assert_eq!(
-            DispatchTrace::from_bytes(&bad_magic),
-            Err(DtraceError::BadIntervalIndex("missing IVMX trailer magic"))
-        );
-
-        // Damaged trailer length.
-        let mut bad_flen = good.clone();
-        bad_flen[n - 12] ^= 1;
-        assert_eq!(
-            DispatchTrace::from_bytes(&bad_flen),
-            Err(DtraceError::BadIntervalIndex("trailer length disagrees with the footer"))
-        );
-
-        // A zero interval length can never have been written.
-        let mut bad_ival = good.clone();
-        let ival_at = 4 + 4 + 8 + 4 + sample().technique().len() + 8;
-        bad_ival[ival_at..ival_at + 8].copy_from_slice(&0u64.to_le_bytes());
-        assert_eq!(
-            DispatchTrace::from_bytes(&bad_ival),
-            Err(DtraceError::BadIntervalIndex("zero interval length"))
-        );
-
-        // Any damaged footer byte must fail decoding, never mis-slice.
-        for i in (n - 12 - 8)..(n - 12) {
-            let mut bad = good.clone();
-            bad[i] ^= 0x55;
-            assert!(DispatchTrace::from_bytes(&bad).is_err(), "corrupt footer byte {i} accepted");
-        }
-    }
-
-    #[test]
-    fn v2_round_trip_preserves_the_recomputed_index() {
-        let mut t = DispatchTrace::new(1, "threaded");
-        for i in 0..10_000u64 {
-            t.push(0x1000 + (i % 7) * 0x40, 0x8000 + (i % 3) * 0x40);
-        }
-        let decoded = DispatchTrace::from_bytes(&t.to_bytes()).unwrap();
-        assert_eq!(decoded.interval_index(4096), t.interval_index(4096));
-        assert_eq!(decoded.interval_index(512), t.interval_index(512));
     }
 
     #[test]

@@ -162,7 +162,6 @@ pub struct Engine {
     counters: PerfCounters,
     costs: CycleCosts,
     cpu_name: String,
-    branch_stats: Option<std::collections::BTreeMap<Addr, (u64, u64)>>,
     observer: Option<SharedObserver>,
     batch: DispatchBatch,
 }
@@ -185,7 +184,6 @@ impl Engine {
             counters: PerfCounters::default(),
             costs: cpu.costs,
             cpu_name: cpu.name.to_owned(),
-            branch_stats: None,
             observer: None,
             batch: DispatchBatch::new(DISPATCH_BATCH_CAPACITY),
         }
@@ -207,7 +205,6 @@ impl Engine {
             counters: PerfCounters::default(),
             costs,
             cpu_name: "custom".into(),
-            branch_stats: None,
             observer: None,
             batch: DispatchBatch::new(DISPATCH_BATCH_CAPACITY),
         }
@@ -226,27 +223,6 @@ impl Engine {
     /// The engine's cycle cost constants.
     pub fn costs(&self) -> &CycleCosts {
         &self.costs
-    }
-
-    /// Enables per-branch statistics: every executed indirect branch gets
-    /// an `(executions, mispredictions)` tally, readable afterwards with
-    /// [`Engine::branch_stats`] or [`Engine::top_mispredicted`]. Costs one
-    /// map update per branch, so it is off by default.
-    #[must_use]
-    pub fn with_branch_stats(mut self) -> Self {
-        self.branch_stats = Some(std::collections::BTreeMap::new());
-        self
-    }
-
-    /// All per-branch `(branch, executions, mispredictions)` tallies in
-    /// ascending branch-address order — the map is ordered, so dump sites
-    /// are deterministic by construction. Empty unless
-    /// [`Engine::with_branch_stats`] was enabled.
-    pub fn branch_stats(&self) -> Vec<(Addr, u64, u64)> {
-        self.branch_stats
-            .as_ref()
-            .map(|stats| stats.iter().map(|(&b, &(e, m))| (b, e, m)).collect())
-            .unwrap_or_default()
     }
 
     /// Attaches a [`DispatchObserver`]; keep a clone of the handle to read
@@ -287,19 +263,6 @@ impl Engine {
         self.batch.clear();
     }
 
-    /// The `n` branches with the most mispredictions, as
-    /// `(branch, executions, mispredictions)` sorted worst-first. Empty
-    /// unless [`Engine::with_branch_stats`] was enabled.
-    pub fn top_mispredicted(&self, n: usize) -> Vec<(Addr, u64, u64)> {
-        let Some(stats) = &self.branch_stats else {
-            return Vec::new();
-        };
-        let mut v: Vec<(Addr, u64, u64)> = stats.iter().map(|(&b, &(e, m))| (b, e, m)).collect();
-        v.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
-        v.truncate(n);
-        v
-    }
-
     fn retire(&mut self, n: u32) {
         self.counters.instructions += u64::from(n);
     }
@@ -316,11 +279,6 @@ impl Engine {
         let hit = self.predictor.predict_and_update(branch, target);
         if !hit {
             self.counters.indirect_mispredicted += 1;
-        }
-        if let Some(stats) = &mut self.branch_stats {
-            let entry = stats.entry(branch).or_insert((0, 0));
-            entry.0 += 1;
-            entry.1 += u64::from(!hit);
         }
         if self.observer.is_some() {
             self.batch.push(from, to, branch, target, !hit);
@@ -498,40 +456,6 @@ mod tests {
             Box::new(PerfectIcache::default()),
             CycleCosts { cpi: 1.0, mispredict_penalty: 10.0, icache_miss_penalty: 27.0 },
         )
-    }
-
-    #[test]
-    fn branch_stats_are_opt_in() {
-        let mut e = engine();
-        e.indirect(0, 0, 1, 10);
-        assert!(e.top_mispredicted(5).is_empty(), "off by default");
-
-        let mut e = engine().with_branch_stats();
-        // Branch 1 alternates (always misses); branch 2 is monomorphic.
-        for i in 0..10u64 {
-            e.indirect(0, 1, 1, i % 2);
-            e.indirect(1, 0, 2, 42);
-        }
-        let top = e.top_mispredicted(2);
-        assert_eq!(top[0].0, 1);
-        assert_eq!(top[0].1, 10);
-        assert_eq!(top[0].2, 10);
-        assert_eq!(top[1].0, 2);
-        assert_eq!(top[1].2, 1); // only the cold miss
-    }
-
-    #[test]
-    fn branch_stats_iterate_in_address_order() {
-        let mut e = engine().with_branch_stats();
-        // Touch branches in scrambled order; the dump must come back sorted.
-        for &b in &[9_u64, 2, 7, 2, 5, 9, 1] {
-            e.indirect(0, 0, b, b + 100);
-        }
-        let stats = e.branch_stats();
-        let addrs: Vec<Addr> = stats.iter().map(|s| s.0).collect();
-        assert_eq!(addrs, vec![1, 2, 5, 7, 9]);
-        assert_eq!(stats[1].1, 2, "branch 2 executed twice");
-        assert!(engine().branch_stats().is_empty(), "off by default");
     }
 
     #[test]

@@ -74,8 +74,7 @@ mod translate;
 pub use cache::Memo;
 pub use dtrace::{
     dispatch_spec_hash, simulate_many, DispatchTrace, DtraceError, IntervalBbv, IntervalIndex,
-    SpecHasher, DEFAULT_INTERVAL_LEN, DTRACE_FOOTER_MAGIC, DTRACE_MAGIC, DTRACE_VERSION,
-    DTRACE_VERSION_V1,
+    SpecHasher, DTRACE_MAGIC, DTRACE_VERSION,
 };
 pub use engine::{
     DispatchBatch, DispatchObserver, Engine, RunResult, Runner, SharedObserver,
@@ -84,9 +83,7 @@ pub use engine::{
 pub use events::{Measurement, NullEvents, Tee, VmEvents};
 pub use guest::{GuestVm, VmError, VmOutput};
 pub use layout::{CodeSpace, Routine, RoutineTable, DYNAMIC_BASE, STATIC_BASE};
-pub use measure::{
-    measure, measure_observed, measure_trace, measure_trace_with, measure_with, profile, record,
-};
+pub use measure::{measure, measure_trace, measure_trace_with, measure_with, profile, record};
 pub use native::{
     align_up, static_super_spec, InstKind, NativeSpec, CODE_ALIGN, DISPATCH_BYTES, DISPATCH_INSTRS,
     IP_INC_BYTES, IP_INC_INSTRS, STATIC_SUPER_SAVINGS_BYTES, STATIC_SUPER_SAVINGS_INSTRS,

@@ -15,7 +15,7 @@ use ivm_cache::CpuSpec;
 use ivm_harness::span;
 
 use crate::engine::{Engine, RunResult, Runner};
-use crate::events::{Measurement, NullEvents, Tee, VmEvents};
+use crate::events::Measurement;
 use crate::guest::{GuestVm, VmError, VmOutput};
 use crate::profile::{Profile, ProfileCollector};
 use crate::technique::Technique;
@@ -79,37 +79,14 @@ pub fn measure_with<G: GuestVm + ?Sized>(
     engine: Engine,
     training: Option<&Profile>,
 ) -> Result<(RunResult, VmOutput), VmError> {
-    measure_observed(vm, technique, engine, training, &mut NullEvents)
-}
-
-/// Like [`measure_with`], but tees the run's [`VmEvents`] stream into
-/// `extra` as well — the hook the observability layer uses to attach
-/// event counters or trace sinks without the VM crate depending on it.
-///
-/// # Errors
-///
-/// Propagates any [`VmError`] from the measured run.
-///
-/// # Panics
-///
-/// Panics if `technique` needs a profile and `training` is `None`.
-pub fn measure_observed<G: GuestVm + ?Sized>(
-    vm: &G,
-    technique: Technique,
-    engine: Engine,
-    training: Option<&Profile>,
-    extra: &mut dyn VmEvents,
-) -> Result<(RunResult, VmOutput), VmError> {
     let translation = {
         let _span = span::enter("translate");
         translate(vm.spec(), vm.program(), technique, training, vm.super_selection())
     };
-    let runner = Runner::new(engine);
-    let mut measurement = Measurement::new(translation, runner);
-    let mut tee = Tee { a: &mut measurement, b: extra };
+    let mut measurement = Measurement::new(translation, Runner::new(engine));
     let output = {
         let _span = span::enter("execute");
-        vm.execute(&mut tee, vm.default_fuel())?
+        vm.execute(&mut measurement, vm.default_fuel())?
     };
     Ok((measurement.finish(), output))
 }

@@ -1,8 +1,9 @@
 //! Property tests for the binary dispatch-trace format: arbitrary
-//! streams round-trip exactly, and corrupt bytes are rejected rather
-//! than decoded into a slightly-wrong stream.
+//! streams round-trip exactly, corrupt bytes are rejected rather than
+//! decoded into a slightly-wrong stream, and no input makes the decoder
+//! panic.
 
-use ivm_core::{DispatchTrace, DTRACE_VERSION};
+use ivm_core::{DispatchTrace, DTRACE_MAGIC, DTRACE_VERSION};
 use ivm_harness::{prop, prop_assert, prop_assert_eq};
 
 /// Draws a trace with adversarial address patterns: clustered (realistic
@@ -113,4 +114,33 @@ fn version_is_enforced() {
     let mut bytes = trace.to_bytes();
     bytes[4..8].copy_from_slice(&(DTRACE_VERSION + 1).to_le_bytes());
     assert!(DispatchTrace::from_bytes(&bytes).is_err(), "future version must be rejected");
+}
+
+#[test]
+fn decoding_any_bytes_returns_instead_of_panicking() {
+    prop::check("dtrace_decode_total", prop::Config::from_env(), |src| {
+        let valid = arbitrary_trace(src).to_bytes();
+        let bytes = match src.weighted(&[1, 1, 2, 2]) {
+            // Arbitrary bytes, bare or behind a valid magic and version
+            // so the header and event fields see garbage too.
+            0 => src.vec_of(0..64, |s| s.full::<u8>()),
+            1 => {
+                let mut b = [DTRACE_MAGIC.as_slice(), &DTRACE_VERSION.to_le_bytes()].concat();
+                b.extend(src.vec_of(0..64, |s| s.full::<u8>()));
+                b
+            }
+            // One byte of a valid encoding replaced.
+            2 => {
+                let mut b = valid;
+                let i = src.int_in(0..b.len());
+                b[i] = src.full::<u8>();
+                b
+            }
+            // A valid encoding cut short.
+            _ => valid[..src.int_in(0..valid.len())].to_vec(),
+        };
+        // `prop::check` turns a panic into a shrunk failure report.
+        let _ = DispatchTrace::from_bytes(&bytes);
+        Ok(())
+    });
 }

@@ -2,7 +2,7 @@
 //! driving the Forth frontend through its `GuestVm` impl.
 
 use ivm_cache::CpuSpec;
-use ivm_core::{measure, measure_observed, measure_trace, profile, record, Engine, Technique};
+use ivm_core::{measure, measure_trace, profile, record, Technique};
 use ivm_forth::compile;
 
 #[test]
@@ -14,43 +14,6 @@ fn measure_produces_counters_and_output() {
     assert_eq!(output.text, "0 1 2 3 4 5 6 7 8 9 ");
     assert!(result.counters.instructions > 0);
     assert!(result.counters.dispatches as usize >= output.steps as usize - 1);
-}
-
-#[test]
-fn measure_observed_tees_the_event_stream() {
-    #[derive(Default)]
-    struct Count {
-        begins: u64,
-        transfers: u64,
-    }
-    impl ivm_core::VmEvents for Count {
-        fn begin(&mut self, _entry: usize) {
-            self.begins += 1;
-        }
-        fn transfer(&mut self, _from: usize, _to: usize, _taken: bool) {
-            self.transfers += 1;
-        }
-        fn quicken(&mut self, _instance: usize, _quick_op: ivm_core::OpId) {}
-    }
-
-    let image = compile(": main 10 0 do i . loop ;").unwrap();
-    let prof = profile(&image).unwrap();
-    let cpu = CpuSpec::celeron800();
-    let mut count = Count::default();
-    let (observed, out) = measure_observed(
-        &image,
-        Technique::Threaded,
-        Engine::for_cpu(&cpu),
-        Some(&prof),
-        &mut count,
-    )
-    .unwrap();
-    assert_eq!(out.text, "0 1 2 3 4 5 6 7 8 9 ");
-    assert!(count.begins >= 1);
-    assert_eq!(count.transfers + count.begins, out.steps, "one event per VM step");
-    // The extra sink must not perturb the measurement itself.
-    let (plain, _) = measure(&image, Technique::Threaded, &cpu, Some(&prof)).unwrap();
-    assert_eq!(observed.counters, plain.counters);
 }
 
 #[test]

@@ -244,6 +244,7 @@ where
                         let outcome = execute(cell, seed, worker, f);
                         *slots[i].lock().expect("slot lock") = Some(outcome);
                     }
+                    crate::span::flush();
                 });
             }
         });

@@ -92,3 +92,41 @@ fn panicking_cell_reports_first_failure_in_canonical_order() {
         Ok(())
     });
 }
+
+/// Held by the test below while it reads the span sink. Worker threads
+/// block on it in a thread-local destructor; cells register that
+/// destructor after the span layer's own, and glibc runs thread-local
+/// destructors last-registered first, so a worker's exit-time span flush
+/// cannot happen before the read. (Elsewhere the test still passes with
+/// the executor's explicit flush; it just may not catch its removal.)
+static EXIT_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+struct WaitForGate;
+
+impl Drop for WaitForGate {
+    fn drop(&mut self) {
+        drop(EXIT_GATE.lock());
+    }
+}
+
+thread_local! {
+    static WAIT_FOR_GATE: WaitForGate = const { WaitForGate };
+}
+
+#[test]
+fn worker_spans_reach_the_sink_before_the_batch_returns() {
+    // `std::thread::scope` returns once the worker closures finish, before
+    // their threads' thread-local destructors run; spans the workers left
+    // to the span layer's exit-time flush would miss this snapshot.
+    let gate = EXIT_GATE.lock().expect("gate lock");
+    let cells: Vec<Cell<u64>> = (0..16).map(|i| Cell::new(format!("span-{i}"), i)).collect();
+    run_cells_with(4, 0, &cells, |_, _| {
+        WAIT_FOR_GATE.with(|_| {});
+        let _g = ivm_harness::span::enter("test-par-cell-body");
+    })
+    .expect("no cell panics");
+    let seen =
+        ivm_harness::span::snapshot().iter().filter(|s| s.name == "test-par-cell-body").count();
+    drop(gate);
+    assert_eq!(seen, cells.len(), "every worker's spans are in the sink when the batch returns");
+}

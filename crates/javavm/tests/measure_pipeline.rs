@@ -3,7 +3,7 @@
 //! `GuestVm` impl.
 
 use ivm_cache::CpuSpec;
-use ivm_core::{measure, measure_observed, measure_trace, profile, record, Engine, Technique};
+use ivm_core::{measure, measure_trace, profile, record, Technique};
 use ivm_java::{Asm, JavaImage};
 
 fn fib_image() -> JavaImage {
@@ -48,42 +48,6 @@ fn trace_replay_matches_direct_measurement_with_quickening() {
         let replayed = measure_trace(&image, &trace, tech, &cpu, Some(&prof));
         assert_eq!(direct.counters, replayed.counters, "{tech}");
     }
-}
-
-#[test]
-fn measure_observed_tees_the_event_stream() {
-    #[derive(Default)]
-    struct Count {
-        quickenings: u64,
-        transfers: u64,
-    }
-    impl ivm_core::VmEvents for Count {
-        fn begin(&mut self, _entry: usize) {}
-        fn transfer(&mut self, _from: usize, _to: usize, _taken: bool) {
-            self.transfers += 1;
-        }
-        fn quicken(&mut self, _instance: usize, _quick_op: ivm_core::OpId) {
-            self.quickenings += 1;
-        }
-    }
-
-    let image = fib_image();
-    let prof = profile(&image).unwrap();
-    let cpu = CpuSpec::pentium4_northwood();
-    let mut count = Count::default();
-    let (observed, out) = measure_observed(
-        &image,
-        Technique::Threaded,
-        Engine::for_cpu(&cpu),
-        Some(&prof),
-        &mut count,
-    )
-    .unwrap();
-    assert_eq!(out.text, "610\n");
-    assert_eq!(count.quickenings, out.quickenings, "quickenings reach the extra sink");
-    assert!(count.transfers > 0);
-    let (plain, _) = measure(&image, Technique::Threaded, &cpu, Some(&prof)).unwrap();
-    assert_eq!(observed.counters, plain.counters, "extra sink must not perturb measurement");
 }
 
 #[test]

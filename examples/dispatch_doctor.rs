@@ -1,19 +1,18 @@
 //! "Dispatch doctor": find which VM instructions cause the mispredictions.
 //!
-//! Runs a Forth benchmark under plain threaded code with per-branch
-//! statistics, then maps the worst dispatch branches back to VM opcodes via
-//! the translation — the diagnosis that motivates replication in the paper
-//! (a VM instruction occurring several times in the working set thrashes
-//! its BTB entry).
+//! Runs a Forth benchmark under plain threaded code with a
+//! `DispatchAttribution` observer on the engine, then maps the worst
+//! dispatching instances back to VM words via the translation — the
+//! diagnosis that motivates replication in the paper (a VM instruction
+//! occurring several times in the working set thrashes its BTB entry).
 //!
 //! Run with: `cargo run --release --example dispatch_doctor -- [benchmark] [technique]`
 //! (technique defaults to `plain`; any paper name parses, e.g. "across bb")
 
-use std::collections::HashMap;
-
 use ivm::cache::CpuSpec;
 use ivm::core::{translate, Engine, Measurement, Runner, SuperSelection, Technique};
 use ivm::forth;
+use ivm::obs::DispatchAttribution;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "bench-gc".into());
@@ -33,32 +32,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let translation =
         translate(&o.spec, &image.program, technique, training.as_ref(), SuperSelection::gforth());
 
-    // Map each dispatch branch address to the opcode(s) owning it.
-    let mut owner: HashMap<u64, &str> = HashMap::new();
-    for i in 0..image.program.len() {
-        let slot = translation.slot(i);
-        for dp in [slot.fall, slot.taken].into_iter().flatten() {
-            owner.entry(dp.branch).or_insert_with(|| o.spec.name(image.program.op(i)));
-        }
-    }
-
-    let engine = Engine::for_cpu(&cpu).with_branch_stats();
+    let attribution = DispatchAttribution::new().shared();
+    let engine = Engine::for_cpu(&cpu).with_observer(attribution.clone());
     let mut m = Measurement::new(translation, Runner::new(engine));
     forth::run(&image, &mut m, forth::DEFAULT_FUEL)?;
+    // Resolve instances to words before `finish` consumes the translation;
+    // `finish` flushes the last batch of dispatches into the attribution.
+    let words: Vec<String> =
+        (0..image.program.len()).map(|i| m.translation().op_name(i).to_owned()).collect();
+    let r = m.finish();
 
-    println!("Worst dispatch branches for {name} ({technique}, {}):", cpu.name);
+    let attribution = attribution.borrow();
+    let mut worst: Vec<(usize, _)> =
+        attribution.per_instance().iter().copied().enumerate().collect();
+    worst.sort_by(|a, b| b.1.mispredicted.cmp(&a.1.mispredicted).then(a.0.cmp(&b.0)));
+    println!("Worst dispatching instances for {name} ({technique}, {}):", cpu.name);
     println!(
-        "{:<12} {:<12} {:>12} {:>12} {:>8}",
-        "branch", "VM word", "executed", "mispred", "rate%"
+        "{:<10} {:<12} {:>12} {:>12} {:>8}",
+        "instance", "VM word", "executed", "mispred", "rate%"
     );
-    for (branch, execs, misses) in m.runner().engine().top_mispredicted(12) {
+    for (i, tally) in worst.into_iter().take(12).filter(|(_, t)| t.executed > 0) {
         println!(
-            "{branch:#012x} {:<12} {execs:>12} {misses:>12} {:>8.1}",
-            owner.get(&branch).copied().unwrap_or("?"),
-            100.0 * misses as f64 / execs as f64,
+            "{i:<10} {:<12} {:>12} {:>12} {:>8.1}",
+            words[i],
+            tally.executed,
+            tally.mispredicted,
+            100.0 * tally.mispredicted as f64 / tally.executed as f64,
         );
     }
-    let r = m.finish();
     println!(
         "\ntotal: {} indirect branches, {} mispredicted ({:.1}%)",
         r.counters.indirect_branches,

@@ -30,11 +30,7 @@ canonically (sorted keys); all other files — including the binary
 `.dtrace` dispatch traces captured under IVM_TRACE_DIR — are compared
 byte for byte. `.dtrace` files are additionally required to start with
 the `IVMT` format magic, so a comparison of two identically-torn files
-cannot pass silently; version-2 traces must also end with a locatable
-`IVMX` trailer (footer length + magic in the last 12 bytes) framing a
-plausible interval-index footer, and when two v2 files differ the
-report says whether the disagreement includes that footer or is
-confined to the event stream.
+cannot pass silently.
 
 Usage:
     scripts/check_determinism.py <dir-a> <dir-b>
@@ -61,33 +57,6 @@ def strip_nondeterministic(doc):
             manifest.pop("phases", None)
             manifest.pop("sampling", None)
     return doc
-
-
-def dtrace_problem(data: bytes) -> str | None:
-    """Structural validation of one .dtrace file (both format versions)."""
-    if not data.startswith(b"IVMT"):
-        return "dispatch trace lacks the IVMT format magic"
-    if len(data) < 8:
-        return "dispatch trace shorter than its header"
-    version = int.from_bytes(data[4:8], "little")
-    if version < 2:
-        return None
-    # v2 trailer: ... footer bytes, footer length (u64 LE), b"IVMX".
-    if len(data) < 12 or data[-4:] != b"IVMX":
-        return "v2 dispatch trace lacks the IVMX trailer magic"
-    flen = int.from_bytes(data[-12:-4], "little")
-    if flen == 0 or flen + 12 > len(data):
-        return f"v2 dispatch trace frames an implausible footer length {flen}"
-    return None
-
-
-def dtrace_footer(data: bytes) -> bytes:
-    """The interval-index footer bytes of a validated v2 .dtrace file
-    (empty for v1, which has no footer)."""
-    if int.from_bytes(data[4:8], "little") < 2:
-        return b""
-    flen = int.from_bytes(data[-12:-4], "little")
-    return data[-12 - flen : -12]
 
 
 def canonical_json(path: Path) -> str:
@@ -119,12 +88,10 @@ def compare(dir_a: Path, dir_b: Path) -> list[str]:
                 problem = f"not valid JSON: {e}"
         elif rel.suffix == ".dtrace":
             da, db = a.read_bytes(), b.read_bytes()
-            problem = dtrace_problem(da) or dtrace_problem(db)
-            if problem is None and da != db:
-                if dtrace_footer(da) != dtrace_footer(db):
-                    problem = "bytes differ, including the interval-index footer"
-                else:
-                    problem = "event-stream bytes differ (footers identical)"
+            if not (da.startswith(b"IVMT") and db.startswith(b"IVMT")):
+                problem = "dispatch trace lacks the IVMT format magic"
+            elif da != db:
+                problem = "bytes differ"
         elif a.read_bytes() != b.read_bytes():
             problem = "bytes differ"
         if problem:
