@@ -40,6 +40,7 @@ fn bench_predictors(b: &mut Bencher) {
     run("two-level", &mut TwoLevelPredictor::new(TwoLevelConfig::pentium_m()));
     run("path-hybrid", &mut PathHybrid::new(PathHybridConfig::classic()));
     run("ittage-small", &mut Ittage::new(IttageConfig::small()));
+    run("ittage-medium", &mut Ittage::new(IttageConfig::medium()));
     run("ittage-firestorm", &mut Ittage::new(IttageConfig::firestorm()));
     run("ittage-64kb", &mut Ittage::new(IttageConfig::seznec_64kb()));
 }

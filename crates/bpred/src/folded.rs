@@ -21,38 +21,51 @@
 /// `age` events ago (`age == 0` is the newest). Bits older than the
 /// capacity read as zero, matching a predictor whose longest table has
 /// simply not seen them.
+///
+/// The bits are packed 64 to a word in a ring that spans a power of two
+/// bits (at least the capacity), so positions wrap with a mask instead of
+/// a division.
 #[derive(Clone, Debug)]
 pub struct GlobalHistory {
-    bits: Vec<u8>,
+    words: Vec<u64>,
+    /// Ring position of the newest bit.
     head: usize,
+    /// Ring span in bits, minus one.
+    mask: usize,
+    capacity: usize,
 }
 
 impl GlobalHistory {
     /// Creates a history ring holding the last `capacity` bits (all zero).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "history capacity must be positive");
-        GlobalHistory { bits: vec![0; capacity], head: 0 }
+        let span = capacity.next_power_of_two().max(64);
+        GlobalHistory { words: vec![0; span / 64], head: 0, mask: span - 1, capacity }
     }
 
     /// Pushes the newest bit, evicting the oldest.
+    #[inline]
     pub fn push(&mut self, bit: bool) {
-        self.head = (self.head + 1) % self.bits.len();
-        self.bits[self.head] = u8::from(bit);
+        self.head = (self.head + 1) & self.mask;
+        let word = &mut self.words[self.head >> 6];
+        let shift = self.head & 63;
+        *word = (*word & !(1 << shift)) | (u64::from(bit) << shift);
     }
 
     /// Reads the bit pushed `age` events ago (0 = newest). Ages at or
     /// beyond the capacity read as zero.
+    #[inline]
     pub fn bit(&self, age: usize) -> bool {
-        if age >= self.bits.len() {
+        if age >= self.capacity {
             return false;
         }
-        let idx = (self.head + self.bits.len() - age) % self.bits.len();
-        self.bits[idx] != 0
+        let pos = self.head.wrapping_sub(age) & self.mask;
+        (self.words[pos >> 6] >> (pos & 63)) & 1 != 0
     }
 
     /// Resets all history bits to zero.
     pub fn reset(&mut self) {
-        self.bits.fill(0);
+        self.words.fill(0);
         self.head = 0;
     }
 }
@@ -62,8 +75,12 @@ impl GlobalHistory {
 pub struct FoldedHistory {
     /// How many history bits are folded in.
     length: usize,
-    /// Width of the folded image in bits (1..=63).
-    width: usize,
+    /// `2^width - 1`, for a width in 1..=63.
+    mask: u64,
+    /// The column where the bit aging out lands: it entered at column 0
+    /// and has moved one column (mod width) per update since, so it sits
+    /// at `length % width`, fixed for the fold's lifetime.
+    out_bit: u64,
     comp: u64,
 }
 
@@ -72,7 +89,7 @@ impl FoldedHistory {
     pub fn new(length: usize, width: usize) -> Self {
         assert!(length > 0, "fold length must be positive");
         assert!((1..64).contains(&width), "fold width must be in 1..64");
-        FoldedHistory { length, width, comp: 0 }
+        FoldedHistory { length, mask: (1 << width) - 1, out_bit: 1 << (length % width), comp: 0 }
     }
 
     /// The number of history bits folded into this image.
@@ -82,15 +99,12 @@ impl FoldedHistory {
 
     /// Folds in the newest bit and cancels `outgoing`, the bit that was
     /// `length - 1` events old *before* this update (it is now aged out).
+    #[inline]
     pub fn update(&mut self, newest: bool, outgoing: bool) {
-        let mask = (1u64 << self.width) - 1;
-        self.comp = (self.comp << 1) | u64::from(newest);
-        // The evicted bit sits at position `length % width` after having
-        // been left-shifted `length` times modulo the fold width.
-        self.comp ^= u64::from(outgoing) << (self.length % self.width);
-        // Wrap the bit shifted out of the window back into the low end.
-        self.comp ^= self.comp >> self.width;
-        self.comp &= mask;
+        let comp = ((self.comp << 1) | u64::from(newest)) ^ (self.out_bit * u64::from(outgoing));
+        // Wrap the bit shifted out of the window back into the low end:
+        // `comp` exceeds the mask exactly when that bit is set.
+        self.comp = (comp & self.mask) ^ u64::from(comp > self.mask);
     }
 
     /// The current folded image.

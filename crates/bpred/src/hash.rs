@@ -17,19 +17,31 @@ const K: u64 = 0x517c_c1b7_2722_0a95;
 #[derive(Debug, Default)]
 pub struct AddrHasher(u64);
 
+/// One [`AddrHasher`] round: folds the word `w` into the state `h`.
+#[inline]
+pub(crate) fn mix(h: u64, w: u64) -> u64 {
+    (h.rotate_left(5) ^ w).wrapping_mul(K)
+}
+
+/// [`AddrHasher`]'s output from the state `h`.
+#[inline]
+pub(crate) fn finish(h: u64) -> u64 {
+    // A multiply's mixing lives in its high bits, but the table
+    // indexes buckets by the low bits; fold the halves together so
+    // aligned addresses (low bits mostly zero) still spread.
+    h ^ (h >> 32)
+}
+
 impl Hasher for AddrHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        // A multiply's mixing lives in its high bits, but the table
-        // indexes buckets by the low bits; fold the halves together so
-        // aligned addresses (low bits mostly zero) still spread.
-        self.0 ^ (self.0 >> 32)
+        finish(self.0)
     }
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 = (self.0.rotate_left(5) ^ u64::from(b)).wrapping_mul(K);
+            self.0 = mix(self.0, u64::from(b));
         }
     }
 
@@ -40,7 +52,7 @@ impl Hasher for AddrHasher {
 
     #[inline]
     fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(K);
+        self.0 = mix(self.0, v);
     }
 
     #[inline]
@@ -57,15 +69,14 @@ pub type AddrHashBuilder = BuildHasherDefault<AddrHasher>;
 /// The tagged-table predictors (ITTAGE, the path hybrid) derive both
 /// their table indexes and their partial tags from `(branch, folded
 /// history, table id)` tuples; routing every such derivation through
-/// this helper keeps all predictor hashing on the single deterministic
-/// hash family instead of growing ad-hoc mixers per table.
+/// this helper, or through the [`mix`] and [`finish`] steps it is made
+/// of, keeps all predictor hashing on the single deterministic hash
+/// family instead of growing ad-hoc mixers per table. ITTAGE calls the
+/// steps directly so that the `branch` prefix its tuples share is mixed
+/// once per event.
 #[inline]
 pub(crate) fn hash_words(words: &[u64]) -> u64 {
-    let mut h = AddrHasher::default();
-    for &w in words {
-        h.write_u64(w);
-    }
-    h.finish()
+    finish(words.iter().fold(0, |h, &w| mix(h, w)))
 }
 
 /// A `HashMap` keyed by branch address with the fast deterministic hash.

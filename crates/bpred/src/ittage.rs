@@ -17,10 +17,10 @@
 //! first-fit allocation, fixed aging cadence — so replays are bit-exact,
 //! matching the repo-wide determinism contract. All index and tag
 //! derivation goes through the crate's [`AddrHasher`](crate::AddrHasher)
-//! family via one shared helper; there are no ad-hoc hash mixers here.
+//! round and finaliser; there are no ad-hoc hash mixers here.
 
 use crate::folded::{FoldedHistory, GlobalHistory};
-use crate::hash::hash_words;
+use crate::hash::{finish, mix};
 use crate::{Addr, IndirectPredictor};
 
 /// How many history bits each dispatch event contributes. Interpreter
@@ -35,6 +35,12 @@ const CTR_MAX: u8 = 3;
 const USEFUL_MAX: u8 = 3;
 const USE_ALT_MIN: i8 = -8;
 const USE_ALT_MAX: i8 = 7;
+
+/// A tagged entry's state byte: the valid flag, the confidence counter
+/// in bits 2..=3 and the usefulness counter in bits 0..=1. An entry
+/// never allocated has state 0.
+const VALID: u8 = 0x80;
+const CTR_SHIFT: u32 = 2;
 
 /// Configuration for [`Ittage`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -145,17 +151,6 @@ impl Default for IttageConfig {
     }
 }
 
-/// One tagged-table entry: partial tag, predicted target, 2-bit
-/// confidence and 2-bit usefulness.
-#[derive(Debug, Clone, Copy, Default)]
-struct TaggedEntry {
-    valid: bool,
-    tag: u64,
-    target: Addr,
-    ctr: u8,
-    useful: u8,
-}
-
 /// Which component supplied the final prediction for one event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Component {
@@ -216,7 +211,16 @@ impl IttageBreakdown {
 struct TableHistory {
     index_fold: FoldedHistory,
     tag_fold_a: FoldedHistory,
-    tag_fold_b: FoldedHistory,
+    /// `None` when this fold is as wide as the index fold (`tag_bits - 1
+    /// == table_bits`, as in every named config): over the same length
+    /// the two are the same image, so the index fold stands in for it.
+    tag_fold_b: Option<FoldedHistory>,
+}
+
+impl TableHistory {
+    fn tag_fold_b(&self) -> u64 {
+        self.tag_fold_b.as_ref().unwrap_or(&self.index_fold).value()
+    }
 }
 
 /// An ITTAGE-style indirect target predictor (see module docs).
@@ -241,11 +245,17 @@ pub struct Ittage {
     config: IttageConfig,
     lengths: Vec<usize>,
     base: Vec<Option<Addr>>,
-    tables: Vec<Vec<TaggedEntry>>,
+    /// The tagged tables as struct-of-arrays, table `t`'s entries at
+    /// `t << table_bits ..`: partial tags, predicted targets and the
+    /// [`VALID`]/confidence/usefulness state bytes.
+    tags: Vec<u32>,
+    targets: Vec<Addr>,
+    states: Vec<u8>,
     history: GlobalHistory,
     folds: Vec<TableHistory>,
     use_alt_on_na: i8,
-    events: u64,
+    /// Events left until the next usefulness aging.
+    until_aging: u64,
     /// Alternates between clearing the high and low usefulness bit on
     /// successive aging epochs (Seznec's scheme, made deterministic).
     age_phase: bool,
@@ -264,6 +274,7 @@ impl Ittage {
         assert!(config.max_history >= config.min_history, "max history shorter than min history");
         assert!(config.useful_reset_period > 0, "aging period must be positive");
         let lengths = config.history_lengths();
+        let width_b = (config.tag_bits as usize).max(2) - 1;
         let folds = lengths
             .iter()
             .map(|&l| TableHistory {
@@ -271,17 +282,23 @@ impl Ittage {
                 // Two near-equal widths whose folds drift apart, so tags
                 // do not alias the index fold.
                 tag_fold_a: FoldedHistory::new(l, config.tag_bits as usize),
-                tag_fold_b: FoldedHistory::new(l, (config.tag_bits as usize).max(2) - 1),
+                tag_fold_b: (width_b != config.table_bits as usize)
+                    .then(|| FoldedHistory::new(l, width_b)),
             })
             .collect();
         let max_len = *lengths.last().expect("at least one table");
+        let entries = config.tables << config.table_bits;
         Self {
             base: vec![None; 1 << config.base_bits],
-            tables: vec![vec![TaggedEntry::default(); 1 << config.table_bits]; config.tables],
-            history: GlobalHistory::new(max_len * BITS_PER_EVENT),
+            tags: vec![0; entries],
+            targets: vec![0; entries],
+            states: vec![0; entries],
+            // Deep enough for the longest table to read the bits one
+            // event pushes past it.
+            history: GlobalHistory::new(max_len + BITS_PER_EVENT),
             folds,
             use_alt_on_na: 0,
-            events: 0,
+            until_aging: config.useful_reset_period,
             age_phase: false,
             breakdown: IttageBreakdown::new(config.tables),
             config,
@@ -305,24 +322,6 @@ impl Ittage {
         &self.breakdown
     }
 
-    fn base_index(&self, branch: Addr) -> usize {
-        let mask = (1u64 << self.config.base_bits) - 1;
-        (hash_words(&[branch]) & mask) as usize
-    }
-
-    fn table_index(&self, table: usize, branch: Addr) -> usize {
-        let mask = (1u64 << self.config.table_bits) - 1;
-        let fold = self.folds[table].index_fold.value();
-        (hash_words(&[branch, fold, table as u64]) & mask) as usize
-    }
-
-    fn table_tag(&self, table: usize, branch: Addr) -> u64 {
-        let mask = (1u64 << self.config.tag_bits) - 1;
-        let f = &self.folds[table];
-        let folded = f.tag_fold_a.value() ^ (f.tag_fold_b.value() << 1);
-        hash_words(&[branch, folded, 0x100 | table as u64]) & mask
-    }
-
     /// Pushes one dispatch event into the global history and keeps every
     /// fold in sync. Each event contributes [`BITS_PER_EVENT`] hashed
     /// bits of the observed target, drawn from the hash's *high* end —
@@ -330,25 +329,23 @@ impl Ittage {
     /// `v * K` is bit 0 of `v` for odd `K`), and nearby targets sharing
     /// low hash bits would collapse the history to a constant.
     fn push_history(&mut self, target: Addr) {
-        let hashed = hash_words(&[target]) >> (64 - BITS_PER_EVENT);
+        let hashed = finish(mix(0, target)) >> (64 - BITS_PER_EVENT);
+        let bit = |b: usize| (hashed >> b) & 1 != 0;
         for b in 0..BITS_PER_EVENT {
-            let bit = (hashed >> b) & 1 != 0;
-            // Read every fold's outgoing bit before the ring advances.
-            // Fixed-size scratch (tables <= 16) keeps the per-event hot
-            // path allocation-free.
-            let mut outgoing = [(false, false, false); 16];
-            for (out, f) in outgoing.iter_mut().zip(&self.folds) {
-                *out = (
-                    self.history.bit(f.index_fold.length() - 1),
-                    self.history.bit(f.tag_fold_a.length() - 1),
-                    self.history.bit(f.tag_fold_b.length() - 1),
-                );
-            }
-            self.history.push(bit);
-            for (f, &(out_i, out_a, out_b)) in self.folds.iter_mut().zip(outgoing.iter()) {
-                f.index_fold.update(bit, out_i);
-                f.tag_fold_a.update(bit, out_a);
-                f.tag_fold_b.update(bit, out_b);
+            self.history.push(bit(b));
+        }
+        for f in &mut self.folds {
+            // A table's three folds share one length, so they drop the
+            // same bits: the one that was `length - 1` old when bit `b`
+            // went in is now `length + BITS_PER_EVENT - 1 - b` old.
+            let oldest = f.index_fold.length() + BITS_PER_EVENT - 1;
+            for b in 0..BITS_PER_EVENT {
+                let outgoing = self.history.bit(oldest - b);
+                f.index_fold.update(bit(b), outgoing);
+                f.tag_fold_a.update(bit(b), outgoing);
+                if let Some(fold) = &mut f.tag_fold_b {
+                    fold.update(bit(b), outgoing);
+                }
             }
         }
     }
@@ -359,53 +356,60 @@ impl Ittage {
     fn age_usefulness(&mut self) {
         let clear = if self.age_phase { 0b10 } else { 0b01 };
         self.age_phase = !self.age_phase;
-        for table in &mut self.tables {
-            for e in table.iter_mut() {
-                e.useful &= !clear;
-            }
+        for s in &mut self.states {
+            *s &= !clear;
         }
     }
+}
+
+/// The highest set bit of `mask`, if any.
+fn top_bit(mask: u32) -> Option<usize> {
+    mask.checked_ilog2().map(|b| b as usize)
 }
 
 impl IndirectPredictor for Ittage {
     fn predict_and_update(&mut self, branch: Addr, target: Addr) -> bool {
         // --- Predict: find provider (longest matching) and alternate. ---
-        // Fixed-size scratch (tables <= 16): no per-event allocation.
-        let mut indices = [0usize; 16];
-        let mut tags = [0u64; 16];
-        for t in 0..self.config.tables {
-            indices[t] = self.table_index(t, branch);
-            tags[t] = self.table_tag(t, branch);
+        // Every index and tag hashes a tuple that starts with `branch`,
+        // so that prefix is mixed once. Fixed-size scratch (tables <= 16)
+        // keeps the per-event path allocation-free.
+        let prefix = mix(0, branch);
+        let index_mask = (1u64 << self.config.table_bits) - 1;
+        let tag_mask = (1u64 << self.config.tag_bits) - 1;
+        let mut slots = [0usize; 16];
+        let mut tags = [0u32; 16];
+        let mut matches = 0u32;
+        for (t, f) in self.folds.iter().enumerate() {
+            let index = finish(mix(mix(prefix, f.index_fold.value()), t as u64)) & index_mask;
+            let folded = f.tag_fold_a.value() ^ (f.tag_fold_b() << 1);
+            let tag = (finish(mix(mix(prefix, folded), 0x100 | t as u64)) & tag_mask) as u32;
+            let slot = (t << self.config.table_bits) | index as usize;
+            slots[t] = slot;
+            tags[t] = tag;
+            let hit = (self.states[slot] & VALID != 0) & (self.tags[slot] == tag);
+            matches |= u32::from(hit) << t;
         }
-        let mut provider: Option<usize> = None;
-        let mut alt: Option<usize> = None;
-        for t in (0..self.config.tables).rev() {
-            let e = &self.tables[t][indices[t]];
-            if e.valid && e.tag == tags[t] {
-                if provider.is_none() {
-                    provider = Some(t);
-                } else {
-                    alt = Some(t);
-                    break;
-                }
-            }
-        }
-        let bidx = self.base_index(branch);
+        let provider = top_bit(matches);
+        let alt = provider.and_then(|p| top_bit(matches & !(1 << p)));
+        let bidx = (finish(prefix) & ((1u64 << self.config.base_bits) - 1)) as usize;
         let base_pred = self.base[bidx];
         let alt_pred = match alt {
-            Some(t) => Some(self.tables[t][indices[t]].target),
+            Some(t) => Some(self.targets[slots[t]]),
             None => base_pred,
         };
         let (component, prediction) = match provider {
             Some(t) => {
-                let e = &self.tables[t][indices[t]];
+                let slot = slots[t];
                 // A newly-allocated (weak) provider defers to the
                 // alternate while use_alt_on_na says alternates are
                 // winning.
-                if e.ctr == 0 && self.use_alt_on_na >= 0 && alt_pred.is_some() {
+                if (self.states[slot] >> CTR_SHIFT) & CTR_MAX == 0
+                    && self.use_alt_on_na >= 0
+                    && alt_pred.is_some()
+                {
                     (Component::Alt, alt_pred)
                 } else {
-                    (Component::Table(t), Some(e.target))
+                    (Component::Table(t), Some(self.targets[slot]))
                 }
             }
             None => (Component::Base, base_pred),
@@ -413,36 +417,24 @@ impl IndirectPredictor for Ittage {
         let hit = prediction == Some(target);
 
         // --- Account. ---
-        match component {
-            Component::Base => {
-                if hit {
-                    self.breakdown.base_hits += 1;
-                } else {
-                    self.breakdown.base_misses += 1;
-                }
-            }
-            Component::Table(t) => {
-                if hit {
-                    self.breakdown.provider_hits[t] += 1;
-                } else {
-                    self.breakdown.provider_misses[t] += 1;
-                }
-            }
-            Component::Alt => {
-                if hit {
-                    self.breakdown.alt_hits += 1;
-                } else {
-                    self.breakdown.alt_misses += 1;
-                }
-            }
-        }
+        let bd = &mut self.breakdown;
+        let (hits, misses) = match component {
+            Component::Base => (&mut bd.base_hits, &mut bd.base_misses),
+            Component::Table(t) => (&mut bd.provider_hits[t], &mut bd.provider_misses[t]),
+            Component::Alt => (&mut bd.alt_hits, &mut bd.alt_misses),
+        };
+        *if hit { hits } else { misses } += 1;
 
         // --- Update the provider chain. ---
         if let Some(t) = provider {
-            let provider_correct = self.tables[t][indices[t]].target == target;
+            let slot = slots[t];
+            let state = self.states[slot];
+            let (mut ctr, mut useful) = ((state >> CTR_SHIFT) & CTR_MAX, state & USEFUL_MAX);
+            let provider_target = self.targets[slot];
+            let provider_correct = provider_target == target;
             let alt_correct = alt_pred == Some(target);
             // Track whether alternates beat weak providers.
-            if self.tables[t][indices[t]].ctr == 0 && provider_correct != alt_correct {
+            if ctr == 0 && provider_correct != alt_correct {
                 self.use_alt_on_na = if alt_correct {
                     (self.use_alt_on_na + 1).min(USE_ALT_MAX)
                 } else {
@@ -451,48 +443,46 @@ impl IndirectPredictor for Ittage {
             }
             // Usefulness: the provider proved its worth only when it
             // disagreed with the alternate and was right.
-            if self.tables[t][indices[t]].target != alt_pred.unwrap_or(u64::MAX) {
-                let e = &mut self.tables[t][indices[t]];
-                if provider_correct {
-                    e.useful = (e.useful + 1).min(USEFUL_MAX);
-                } else if e.useful > 0 {
-                    e.useful -= 1;
-                }
+            if provider_target != alt_pred.unwrap_or(u64::MAX) {
+                useful = if provider_correct {
+                    (useful + 1).min(USEFUL_MAX)
+                } else {
+                    useful.saturating_sub(1)
+                };
             }
             // Confidence: strengthen on correct target, weaken on wrong,
             // replace once confidence is exhausted.
-            let e = &mut self.tables[t][indices[t]];
             if provider_correct {
-                e.ctr = (e.ctr + 1).min(CTR_MAX);
-            } else if e.ctr > 0 {
-                e.ctr -= 1;
+                ctr = (ctr + 1).min(CTR_MAX);
+            } else if ctr > 0 {
+                ctr -= 1;
             } else {
-                e.target = target;
+                self.targets[slot] = target;
             }
+            self.states[slot] = VALID | (ctr << CTR_SHIFT) | useful;
         }
 
         // --- Allocate on final misprediction. ---
-        if !hit {
-            let start = provider.map_or(0, |t| t + 1);
-            if start < self.config.tables {
-                // Deterministic first-fit: claim the first not-useful
-                // entry in the shortest eligible table.
-                let mut allocated = false;
-                for t in start..self.config.tables {
-                    let e = &mut self.tables[t][indices[t]];
-                    if !e.valid || e.useful == 0 {
-                        *e = TaggedEntry { valid: true, tag: tags[t], target, ctr: 0, useful: 0 };
-                        allocated = true;
-                        break;
-                    }
-                }
-                if allocated {
+        let start = provider.map_or(0, |t| t + 1);
+        if !hit && start < self.config.tables {
+            let eligible = &slots[start..self.config.tables];
+            // Deterministic first-fit: claim the first not-useful entry
+            // in the shortest eligible table (an entry never allocated
+            // has state 0, so it reads as not useful).
+            match eligible.iter().position(|&slot| self.states[slot] & USEFUL_MAX == 0) {
+                Some(i) => {
+                    let slot = eligible[i];
+                    self.tags[slot] = tags[start + i];
+                    self.targets[slot] = target;
+                    self.states[slot] = VALID;
                     self.breakdown.allocations += 1;
-                } else {
-                    // Everything useful: decay so a future mispredict
-                    // can get in.
-                    for (table, &idx) in self.tables[start..].iter_mut().zip(&indices[start..]) {
-                        table[idx].useful -= 1;
+                }
+                // Everything useful: decay so a future mispredict can get
+                // in. Usefulness is the state's low field and nonzero
+                // here, so subtracting one borrows from no other field.
+                None => {
+                    for &slot in eligible {
+                        self.states[slot] -= 1;
                     }
                     self.breakdown.allocation_failures += 1;
                 }
@@ -502,26 +492,29 @@ impl IndirectPredictor for Ittage {
         // --- Base table and history always update. ---
         self.base[bidx] = Some(target);
         self.push_history(target);
-        self.events += 1;
-        if self.events.is_multiple_of(self.config.useful_reset_period) {
+        self.until_aging -= 1;
+        if self.until_aging == 0 {
+            self.until_aging = self.config.useful_reset_period;
             self.age_usefulness();
         }
         hit
     }
 
     fn reset(&mut self) {
-        self.base.iter_mut().for_each(|e| *e = None);
-        for table in &mut self.tables {
-            table.iter_mut().for_each(|e| *e = TaggedEntry::default());
-        }
+        self.base.fill(None);
+        self.tags.fill(0);
+        self.targets.fill(0);
+        self.states.fill(0);
         self.history.reset();
         for f in &mut self.folds {
             f.index_fold.reset();
             f.tag_fold_a.reset();
-            f.tag_fold_b.reset();
+            if let Some(fold) = &mut f.tag_fold_b {
+                fold.reset();
+            }
         }
         self.use_alt_on_na = 0;
-        self.events = 0;
+        self.until_aging = self.config.useful_reset_period;
         self.age_phase = false;
         self.breakdown = IttageBreakdown::new(self.config.tables);
     }

@@ -91,20 +91,16 @@ impl PathHybrid {
         self.config
     }
 
-    fn slot(&self, branch: Addr) -> usize {
-        let mask = (1u64 << self.config.table_bits) - 1;
-        (hash_words(&[branch]) & mask) as usize
-    }
-
     fn path_slot(&self, branch: Addr) -> usize {
         let mask = (1u64 << self.config.table_bits) - 1;
         (hash_words(&[branch, self.fold.value()]) & mask) as usize
     }
 
-    fn push_path(&mut self, branch: Addr) {
+    /// Pushes the path bits of a branch whose address hashes to `hashed`.
+    fn push_path(&mut self, hashed: u64) {
         // High hash bits: the multiply mixes poorly into the low bits,
         // and path entropy must survive for the fold to discriminate.
-        let hashed = hash_words(&[branch]) >> (64 - BITS_PER_EVENT);
+        let hashed = hashed >> (64 - BITS_PER_EVENT);
         for b in 0..BITS_PER_EVENT {
             let bit = (hashed >> b) & 1 != 0;
             let outgoing = self.history.bit(self.fold.length() - 1);
@@ -116,7 +112,8 @@ impl PathHybrid {
 
 impl IndirectPredictor for PathHybrid {
     fn predict_and_update(&mut self, branch: Addr, target: Addr) -> bool {
-        let slot = self.slot(branch);
+        let hashed = hash_words(&[branch]);
+        let slot = (hashed & ((1u64 << self.config.table_bits) - 1)) as usize;
         let pslot = self.path_slot(branch);
         let last_pred = self.last_target[slot];
         let path_pred = self.path_table[pslot];
@@ -138,7 +135,7 @@ impl IndirectPredictor for PathHybrid {
         // Both components always learn the observed target.
         self.last_target[slot] = Some(target);
         self.path_table[pslot] = Some(target);
-        self.push_path(branch);
+        self.push_path(hashed);
         hit
     }
 

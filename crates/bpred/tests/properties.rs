@@ -123,15 +123,21 @@ fn occupancy_bounded() {
 
 /// The O(1) circular-shift fold equals the O(L) from-scratch fold of
 /// the raw history ring after every push, for arbitrary (length, width)
-/// geometries and bit streams.
+/// geometries and bit streams. The ring's capacity is drawn on its own,
+/// so rings span several words and are mostly not a power of two; the
+/// stream is long enough to wrap the ring, and every age at or past the
+/// capacity reads zero, also after a reset.
 #[test]
 fn folded_history_matches_reference_recompute() {
     prop::check("folded_history_matches_reference_recompute", prop::Config::from_env(), |src| {
-        let width = src.int_in(1usize..16);
-        let length = src.int_in(1usize..64);
-        let mut hist = GlobalHistory::new(length.max(1));
+        let width = src.int_in(1usize..34);
+        let length = src.int_in(1usize..301);
+        // The ring must hold the fold's window; beyond that its size is free.
+        let capacity = src.int_in(1usize..601).max(length);
+        let mut hist = GlobalHistory::new(capacity);
         let mut fold = FoldedHistory::new(length, width);
-        let bits = src.vec_of(1..200, |s| s.bool());
+        let pushes = capacity + src.int_in(1usize..200);
+        let bits = src.vec_exact(pushes, |s| s.bool());
         for &bit in &bits {
             let outgoing = hist.bit(length - 1);
             hist.push(bit);
@@ -144,6 +150,16 @@ fn folded_history_matches_reference_recompute() {
                 width
             );
             prop_assert!(fold.value() < (1 << width), "fold exceeded its width");
+        }
+        // Ages up to twice the ring's power-of-two span, so ages that
+        // wrap onto live ring positions are read too.
+        let ages = 0..2 * capacity.next_power_of_two().max(64);
+        for age in ages.clone().filter(|&age| age >= capacity) {
+            prop_assert!(!hist.bit(age), "age {} of a {}-bit ring read one", age, capacity);
+        }
+        hist.reset();
+        for age in ages {
+            prop_assert!(!hist.bit(age), "age {} read one after reset", age);
         }
         Ok(())
     });
