@@ -122,31 +122,32 @@ fn main() {
         })
         .collect();
 
-    // Capture one dispatch trace per (frontend, technique), then sweep
-    // the whole zoo over each frozen trace in a single decode pass. The
-    // dispatch stream does not depend on the predictor, so every rate is
-    // bit-identical to a live engine run with that predictor.
+    // One cell per (frontend, technique) captures its dispatch trace and
+    // sweeps the whole zoo over it in a single decode pass, so no trace
+    // outlives its sweep. The dispatch stream does not depend on the
+    // predictor, so every rate is bit-identical to a live engine run with
+    // that predictor.
     let mut all_rows: Vec<(usize, Vec<SweepOut>)> = Vec::new();
     for (pi, &(fname, bench)) in picks.iter().enumerate() {
         let fe = ivm_bench::frontend(fname);
         let image = fe.image(bench);
         let training = fe.training_for(bench);
         let (exec, _) = ivm_core::record(&*image).expect("recording run");
-        let capture_cells: Vec<Cell<Technique>> = techs
+        let cells: Vec<Cell<Technique>> = techs
             .iter()
-            .map(|&t| Cell::new(format!("modern_zoo/capture/{fname}/{}", t.id()), t))
+            .map(|&t| Cell::new(format!("modern_zoo/sweep/{fname}/{}", t.id()), t))
             .collect();
-        let traces = run_cells(capture_cells, |cell, _| {
-            trace_store().get_or_capture(fname, bench, &*image, &exec, cell.input, Some(&training))
-        });
-        let sweep_cells: Vec<Cell<usize>> = techs
-            .iter()
-            .enumerate()
-            .map(|(i, t)| Cell::new(format!("modern_zoo/sweep/{fname}/{}", t.id()), i))
-            .collect();
-        let outs = run_cells(sweep_cells, |cell, _| {
+        let outs = run_cells(cells, |cell, _| {
+            let stored = trace_store().get_or_capture(
+                fname,
+                bench,
+                &*image,
+                &exec,
+                cell.input,
+                Some(&training),
+            );
             let mut predictors = build(&all_names);
-            let stats = simulate_many(traces[cell.input].trace(), &mut predictors);
+            let stats = simulate_many(stored.trace(), &mut predictors);
             let attribution = predictors[modern_ref_col]
                 .ittage_breakdown()
                 .map(|bd| ittage_breakdown_json(bd).to_json())

@@ -44,28 +44,27 @@ fn main() {
         })
         .collect();
 
-    // Capture-then-sweep: record the execution once, capture one dispatch
-    // trace per technique (cached in the trace store), then drive every
-    // BTB geometry over each frozen trace in a single pass. The dispatch
-    // stream does not depend on the predictor, so the rates are
+    // Capture-then-sweep: record the execution once, then one cell per
+    // technique captures its dispatch trace (cached in the trace store)
+    // and drives every BTB geometry over it in a single pass. The
+    // dispatch stream does not depend on the predictor, so the rates are
     // bit-identical to re-running the interpreter per geometry.
     let image = forth.image(bench);
     let (exec, _) = ivm_core::record(&*image).expect("recording run");
-    let capture_cells: Vec<Cell<Technique>> =
-        techniques().into_iter().map(|t| Cell::new(format!("simstudy/capture/{t}"), t)).collect();
-    let traces = run_cells(capture_cells, |cell, _| {
-        trace_store().get_or_capture("forth", bench, &*image, &exec, cell.input, Some(&training))
-    });
-    let sweep_cells: Vec<Cell<(Technique, usize)>> = techniques()
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| Cell::new(format!("simstudy/btb-sweep/{t}"), (t, i)))
-        .collect();
-    let rates = run_cells(sweep_cells, |cell, _| {
-        let (_, i) = cell.input;
+    let cells: Vec<Cell<Technique>> =
+        techniques().into_iter().map(|t| Cell::new(format!("simstudy/btb-sweep/{t}"), t)).collect();
+    let rates = run_cells(cells, |cell, _| {
+        let stored = trace_store().get_or_capture(
+            "forth",
+            bench,
+            &*image,
+            &exec,
+            cell.input,
+            Some(&training),
+        );
         let mut predictors: Vec<AnyPredictor> =
             geometries.iter().map(|(_, cfg)| Btb::new(*cfg).into()).collect();
-        let stats = simulate_many(traces[i].trace(), &mut predictors);
+        let stats = simulate_many(stored.trace(), &mut predictors);
         stats.iter().map(|s| 100.0 * s.misprediction_rate()).collect::<Vec<f64>>()
     });
     let rows: Vec<Row> = geometries

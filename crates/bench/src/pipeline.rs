@@ -7,8 +7,7 @@
 //!
 //! 1. **capture** ([`capture`]) — one dispatch trace per
 //!    `(frontend, benchmark, technique)`, served from the process-wide
-//!    [`crate::trace_store`] (and its on-disk cache). Recording runs are
-//!    memoized per benchmark so a technique sweep replays one execution.
+//!    [`crate::trace_store`] (and its on-disk cache).
 //! 2. **simulate** — predictors run over either the full trace
 //!    ([`ivm_core::simulate_many`], bit-identical to the pre-pipeline
 //!    path) or only the representative intervals of a [`SamplingPlan`]
@@ -54,10 +53,10 @@
 //! single-pass sweep — committed `results/*.txt` are unchanged by this
 //! refactor.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use ivm_bpred::{AnyPredictor, PredStats};
-use ivm_core::{DispatchTrace, ExecutionTrace, IntervalIndex, Memo, SpecHasher, Technique};
+use ivm_core::{DispatchTrace, IntervalIndex, SpecHasher, Technique};
 use ivm_harness::cluster::Clustering;
 use ivm_obs::{SamplingEntry, SamplingMeta};
 
@@ -79,13 +78,6 @@ pub const ERR_FLOOR_PP: f64 = 0.25;
 // Stage 1: capture
 // ---------------------------------------------------------------------------
 
-/// Recording runs memoized per `(frontend, benchmark)`: a technique
-/// sweep over one benchmark replays a single recorded execution.
-fn exec_memo() -> &'static Memo<String, ExecutionTrace> {
-    static EXECS: OnceLock<Memo<String, ExecutionTrace>> = OnceLock::new();
-    EXECS.get_or_init(Memo::new)
-}
-
 /// The capture stage: the dispatch trace of `(frontend, bench,
 /// technique)`, recorded now or served from the trace cache.
 ///
@@ -95,10 +87,7 @@ fn exec_memo() -> &'static Memo<String, ExecutionTrace> {
 pub fn capture(frontend: &str, bench: &'static str, technique: Technique) -> Arc<StoredTrace> {
     let fe = crate::frontend(frontend);
     let image = fe.image(bench);
-    let exec = exec_memo().get_or_build(format!("{frontend}/{bench}"), || {
-        let (exec, _) = ivm_core::record(&*image).expect("recording run");
-        exec
-    });
+    let (exec, _) = ivm_core::record(&*image).expect("recording run");
     let training = fe.training_for(bench);
     crate::trace_store().get_or_capture(frontend, bench, &*image, &exec, technique, Some(&training))
 }

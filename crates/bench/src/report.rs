@@ -8,7 +8,7 @@
 //! `results/json/<name>.json` with a [`RunManifest`] attached; otherwise
 //! the sink is free.
 
-use ivm_obs::{Json, Registry, RunManifest};
+use ivm_obs::{Json, RunManifest};
 
 use crate::Row;
 
@@ -19,14 +19,13 @@ pub fn json_enabled() -> bool {
         || std::env::args().skip(1).any(|a| a == "--json")
 }
 
-/// Collects one binary's tables, metrics and extra sections, and writes
+/// Collects one binary's tables and extra sections, and writes
 /// `results/json/<name>.json` on [`Report::finish`].
 #[derive(Debug)]
 pub struct Report {
     name: String,
     enabled: bool,
     tables: Vec<Json>,
-    metrics: Registry,
     sections: Vec<(String, Json)>,
 }
 
@@ -38,7 +37,6 @@ impl Report {
             name: name.to_owned(),
             enabled: json_enabled(),
             tables: Vec::new(),
-            metrics: Registry::new(),
             sections: Vec::new(),
         }
     }
@@ -73,12 +71,6 @@ impl Report {
         );
     }
 
-    /// Mutable access to the report's metric registry (serialised as the
-    /// `metrics` section).
-    pub fn metrics(&mut self) -> &mut Registry {
-        &mut self.metrics
-    }
-
     /// Attaches a named free-form JSON section (attribution breakdowns,
     /// sweep parameters, ...).
     pub fn section(&mut self, name: &str, value: Json) {
@@ -103,9 +95,6 @@ impl Report {
             .to_json();
         let mut doc = Json::obj().with("manifest", manifest);
         doc.set("tables", Json::Arr(self.tables.clone()));
-        if !self.metrics.is_empty() {
-            doc.set("metrics", self.metrics.to_json());
-        }
         for (name, value) in &self.sections {
             doc.set(name, value.clone());
         }
@@ -172,7 +161,6 @@ mod tests {
     fn tables_metrics_and_sections_round_trip() {
         let mut r = sample_report();
         r.table("T", &["a", "b"], &[Row { label: "row".into(), values: vec![1.0, 2.5] }], 2);
-        r.metrics().inc("runs", 1);
         r.section("extra", Json::obj().with("k", "v"));
         let doc = r.to_json();
         assert!(doc.get("manifest").is_some(), "manifest always present");
@@ -180,10 +168,6 @@ mod tests {
         assert_eq!(tables[0].get("title").and_then(Json::as_str), Some("T"));
         let row = &tables[0].get("rows").and_then(Json::as_arr).unwrap()[0];
         assert_eq!(row.get("values").and_then(Json::as_arr).unwrap()[1], Json::Num(2.5));
-        assert_eq!(
-            doc.get("metrics").and_then(|m| m.get("counters")).and_then(|c| c.get("runs")),
-            Some(&1u64.into())
-        );
         assert_eq!(doc.get("extra").and_then(|e| e.get("k")).and_then(Json::as_str), Some("v"));
         // The serialised document parses back.
         ivm_obs::parse(&doc.to_json()).expect("report JSON is valid");

@@ -1,5 +1,5 @@
 //! The dispatch-trace cache: capture each cell's predictor-input stream
-//! once, memoize it to `results/traces/`, and sweep predictors over the
+//! once, persist it to `results/traces/`, and sweep predictors over the
 //! frozen stream instead of re-running the interpreter.
 //!
 //! The cache is keyed by `(frontend, benchmark, technique)` — the
@@ -11,15 +11,18 @@
 //! changed) is discarded and recaptured, so stale traces can never leak
 //! into results.
 //!
-//! Under `IVM_SMOKE` the store is purely in-memory: smoke workloads are
-//! tiny and must not pollute (or depend on) the on-disk cache. Otherwise
-//! traces live under `IVM_TRACE_DIR`, defaulting to
-//! `<workspace>/results/traces/`, which is gitignored. Setting
-//! `IVM_TRACE_DIR` explicitly re-enables persistence even under smoke —
-//! CI's determinism job uses this to byte-compare trace files across
-//! worker counts.
+//! The store is a disk cache only: it keeps no trace in memory. Each
+//! acquire returns a trace loaded from disk or captured on the spot,
+//! owned by the caller and freed when the caller drops it.
+//!
+//! Under `IVM_SMOKE` the store has no directory, so every acquire
+//! captures: smoke workloads are tiny and must not pollute (or depend
+//! on) the on-disk cache. Otherwise traces live under `IVM_TRACE_DIR`,
+//! defaulting to `<workspace>/results/traces/`, which is gitignored.
+//! Setting `IVM_TRACE_DIR` explicitly re-enables persistence even under
+//! smoke — CI's determinism job uses this to byte-compare trace files
+//! across worker counts.
 
-use std::cell::Cell as StdCell;
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
@@ -31,8 +34,8 @@ use ivm_bpred::{
 };
 use ivm_cache::CpuSpec;
 use ivm_core::{
-    dispatch_spec_hash, DispatchTrace, Engine, ExecutionTrace, GuestVm, Memo, Profile,
-    SharedObserver, Technique,
+    dispatch_spec_hash, DispatchTrace, Engine, ExecutionTrace, GuestVm, Profile, SharedObserver,
+    Technique,
 };
 use ivm_obs::TraceMeta;
 
@@ -92,11 +95,11 @@ fn record_meta(cache_hit: bool, events: u64, bytes: u64) {
         .absorb(cache_hit, events, bytes);
 }
 
-/// A cached dispatch trace plus its encoded size (what it costs on disk).
-#[derive(Debug, Clone)]
+/// One acquired dispatch trace. The store does not keep it: it lives as
+/// long as the caller's `Arc`.
+#[derive(Debug)]
 pub struct StoredTrace {
     trace: DispatchTrace,
-    bytes: u64,
 }
 
 impl StoredTrace {
@@ -104,22 +107,16 @@ impl StoredTrace {
     pub fn trace(&self) -> &DispatchTrace {
         &self.trace
     }
-
-    /// Size of the binary encoding (current format version), in bytes.
-    pub fn encoded_bytes(&self) -> u64 {
-        self.bytes
-    }
 }
 
-/// The process-wide dispatch-trace cache: in-memory memoization backed by
-/// `results/traces/` (except under `IVM_SMOKE`).
+/// The dispatch-trace cache: an optional directory of `.dtrace` files and
+/// nothing in memory.
 pub struct TraceStore {
     dir: Option<PathBuf>,
-    cache: Memo<String, StoredTrace>,
 }
 
 /// The global [`TraceStore`], configured from the environment on first
-/// use (`IVM_SMOKE` → memory-only; `IVM_TRACE_DIR` overrides the
+/// use (`IVM_SMOKE` → no directory; `IVM_TRACE_DIR` overrides the
 /// default `<workspace>/results/traces/`).
 pub fn trace_store() -> &'static TraceStore {
     static STORE: OnceLock<TraceStore> = OnceLock::new();
@@ -137,23 +134,19 @@ impl TraceStore {
             None if crate::smoke() => None,
             None => Some(ivm_obs::workspace_root().join("results").join("traces")),
         };
-        Self { dir, cache: Memo::new() }
+        Self { dir }
     }
 
-    /// A store persisting to `dir` unconditionally (even under smoke),
-    /// with its own in-memory memo. Tests use this to exercise the
-    /// on-disk recovery path against a private directory.
+    /// A store persisting to `dir` unconditionally (even under smoke).
+    /// Tests use this to exercise the on-disk recovery path against a
+    /// private directory.
     pub fn with_dir(dir: impl Into<PathBuf>) -> Self {
-        Self { dir: Some(dir.into()), cache: Memo::new() }
-    }
-
-    /// Where traces are persisted, if anywhere.
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
+        Self { dir: Some(dir.into()) }
     }
 
     /// The dispatch trace of `vm` replaying `exec` under `technique`,
-    /// captured now or served from the cache.
+    /// loaded from its file when that is valid, otherwise captured now
+    /// and persisted. The returned trace is the caller's alone.
     ///
     /// # Panics
     ///
@@ -168,45 +161,43 @@ impl TraceStore {
         training: Option<&Profile>,
     ) -> Arc<StoredTrace> {
         let tech_id = technique.id();
-        let key = format!("{frontend}/{bench}/{tech_id}");
         let expected = dispatch_spec_hash(vm.spec(), vm.program(), technique, training);
         let path = self
             .dir
             .as_ref()
             .map(|d| d.join(frontend).join(bench).join(format!("{tech_id}.dtrace")));
 
-        let fresh = StdCell::new(false);
-        let stored = self.cache.get_or_build(key, || {
-            if let Some(st) = path.as_deref().and_then(|p| load_valid(p, expected, &tech_id)) {
-                return st;
-            }
-            fresh.set(true);
-            let _span = ivm_obs::span::enter("trace_capture");
-            let observer = Rc::new(RefCell::new(DispatchTrace::new(expected, tech_id.clone())));
-            // The dispatch stream does not depend on the machine model:
-            // control flow never consults the predictor or the caches.
-            let engine = Engine::for_cpu(&CpuSpec::celeron800())
-                .with_observer(observer.clone() as SharedObserver);
-            ivm_core::measure_trace_with(vm, exec, technique, engine, training);
-            let trace = observer.borrow().clone();
-            let encoded = trace.to_bytes();
-            if let Some(p) = path.as_deref() {
-                persist(p, &encoded);
-            }
-            StoredTrace { bytes: encoded.len() as u64, trace }
-        });
-        record_meta(!fresh.get(), stored.trace.len() as u64, stored.bytes);
-        stored
+        if let Some((trace, bytes)) =
+            path.as_deref().and_then(|p| load_valid(p, expected, &tech_id))
+        {
+            record_meta(true, trace.len() as u64, bytes);
+            return Arc::new(StoredTrace { trace });
+        }
+        let _span = ivm_obs::span::enter("trace_capture");
+        let observer = Rc::new(RefCell::new(DispatchTrace::new(expected, tech_id)));
+        // The dispatch stream does not depend on the machine model:
+        // control flow never consults the predictor or the caches.
+        let engine = Engine::for_cpu(&CpuSpec::celeron800())
+            .with_observer(observer.clone() as SharedObserver);
+        ivm_core::measure_trace_with(vm, exec, technique, engine, training);
+        let trace =
+            Rc::try_unwrap(observer).expect("the finished run released its observer").into_inner();
+        let encoded = trace.to_bytes();
+        if let Some(p) = path.as_deref() {
+            persist(p, &encoded);
+        }
+        record_meta(false, trace.len() as u64, encoded.len() as u64);
+        Arc::new(StoredTrace { trace })
     }
 }
 
-/// Reads and validates a trace file; `None` (recapture) on any mismatch
-/// or decode error.
-fn load_valid(path: &Path, expected_hash: u64, tech_id: &str) -> Option<StoredTrace> {
+/// Reads and validates a trace file, returning the trace and the file's
+/// size; `None` (recapture) on any mismatch or decode error.
+fn load_valid(path: &Path, expected_hash: u64, tech_id: &str) -> Option<(DispatchTrace, u64)> {
     let bytes = std::fs::read(path).ok()?;
     let trace = DispatchTrace::from_bytes(&bytes).ok()?;
     (trace.spec_hash() == expected_hash && trace.technique() == tech_id)
-        .then_some(StoredTrace { bytes: bytes.len() as u64, trace })
+        .then_some((trace, bytes.len() as u64))
 }
 
 /// Writes a trace file atomically (temp file + rename), so concurrent
@@ -227,9 +218,10 @@ fn persist(path: &Path, encoded: &[u8]) {
 mod tests {
     use super::*;
 
-    /// Captures calc/triangle through `store` and returns the trace plus
-    /// the path the store persists it at.
-    fn capture_once(store: &TraceStore, dir: &Path) -> (DispatchTrace, PathBuf) {
+    /// Acquires calc/triangle through `store`, checks that the store kept
+    /// no reference to the trace, and returns it plus the path the store
+    /// persists it at.
+    fn acquire(store: &TraceStore, dir: &Path) -> (Arc<StoredTrace>, PathBuf) {
         let fe = crate::frontend("calc");
         let image = fe.image("triangle");
         let (exec, _) = ivm_core::record(&*image).expect("recording run");
@@ -242,9 +234,10 @@ mod tests {
             Technique::Threaded,
             Some(&training),
         );
+        assert_eq!(Arc::strong_count(&stored), 1, "the store keeps no trace in memory");
         let path =
             dir.join("calc").join("triangle").join(format!("{}.dtrace", Technique::Threaded.id()));
-        (stored.trace().clone(), path)
+        (stored, path)
     }
 
     #[test]
@@ -252,30 +245,36 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("ivm-tracestore-recovery-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        // One store for every step: each acquire must go back to the file
+        // rather than hand out a trace remembered from an earlier step.
+        let store = TraceStore::with_dir(&dir);
 
-        let (original, path) = capture_once(&TraceStore::with_dir(&dir), &dir);
+        let (original, path) = acquire(&store, &dir);
         assert!(path.is_file(), "capture persists the artifact");
         let good = std::fs::read(&path).expect("persisted trace file");
+        let (reloaded, _) = acquire(&store, &dir);
+        assert_eq!(reloaded.trace(), original.trace(), "a valid file is served as is");
 
         // A truncated artifact (interrupted write, torn copy) must be
         // treated as a miss — decoded, rejected, recaptured — not a panic.
         std::fs::write(&path, &good[..good.len() / 2]).unwrap();
-        let (recovered, _) = capture_once(&TraceStore::with_dir(&dir), &dir);
-        assert_eq!(recovered, original, "truncated file is recaptured");
+        let (recovered, _) = acquire(&store, &dir);
+        assert_eq!(recovered.trace(), original.trace(), "truncated file is recaptured");
         assert_eq!(std::fs::read(&path).unwrap(), good, "recapture rewrites the artifact");
 
         // Arbitrary garbage behind a valid-looking magic is also a miss.
         std::fs::write(&path, b"IVMTgarbage, definitely not a dispatch trace").unwrap();
-        let (recovered, _) = capture_once(&TraceStore::with_dir(&dir), &dir);
-        assert_eq!(recovered, original, "garbage file is recaptured");
+        let (recovered, _) = acquire(&store, &dir);
+        assert_eq!(recovered.trace(), original.trace(), "garbage file is recaptured");
+        assert_eq!(std::fs::read(&path).unwrap(), good, "recapture rewrites the artifact");
 
         // A file from an earlier format version is stale: recaptured and
         // rewritten at the current version.
         let mut stale = good.clone();
         stale[4..8].copy_from_slice(&2u32.to_le_bytes());
         std::fs::write(&path, &stale).unwrap();
-        let (recovered, _) = capture_once(&TraceStore::with_dir(&dir), &dir);
-        assert_eq!(recovered, original, "stale-version file is recaptured");
+        let (recovered, _) = acquire(&store, &dir);
+        assert_eq!(recovered.trace(), original.trace(), "stale-version file is recaptured");
         let rewritten = std::fs::read(&path).unwrap();
         assert_eq!(rewritten[4..8], ivm_core::DTRACE_VERSION.to_le_bytes());
         assert_eq!(rewritten, good, "recapture rewrites the artifact");

@@ -222,8 +222,8 @@ fn check_chrome_trace(name: &str, json_dir: &std::path::Path) -> Result<(), Stri
 }
 
 /// Binaries that acquire dispatch traces through the trace store; their
-/// manifests must account for every capture (in-memory under smoke, but
-/// the accounting is identical).
+/// manifests must account for every capture (under smoke there is no
+/// disk cache, so every acquire captures, but the accounting is identical).
 const TRACE_BINS: &[&str] = &["modern_zoo", "sampling", "simulator_study"];
 
 fn check_trace_section(name: &str, manifest: &Json) -> Result<(), String> {

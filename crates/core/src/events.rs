@@ -100,32 +100,3 @@ impl VmEvents for Measurement {
         self.pending.push((instance, quick_op));
     }
 }
-
-/// Fans events out to two sinks (e.g. measure and profile simultaneously).
-///
-/// Both sinks may be unsized (`dyn VmEvents`), so callers can tee into a
-/// trait object supplied across a crate boundary.
-#[derive(Debug)]
-pub struct Tee<'a, A: ?Sized, B: ?Sized> {
-    /// First sink.
-    pub a: &'a mut A,
-    /// Second sink.
-    pub b: &'a mut B,
-}
-
-impl<A: VmEvents + ?Sized, B: VmEvents + ?Sized> VmEvents for Tee<'_, A, B> {
-    fn begin(&mut self, entry: usize) {
-        self.a.begin(entry);
-        self.b.begin(entry);
-    }
-
-    fn transfer(&mut self, from: usize, to: usize, taken: bool) {
-        self.a.transfer(from, to, taken);
-        self.b.transfer(from, to, taken);
-    }
-
-    fn quicken(&mut self, instance: usize, quick_op: OpId) {
-        self.a.quicken(instance, quick_op);
-        self.b.quicken(instance, quick_op);
-    }
-}

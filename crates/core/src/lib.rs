@@ -80,7 +80,7 @@ pub use engine::{
     DispatchBatch, DispatchObserver, Engine, RunResult, Runner, SharedObserver,
     DISPATCH_BATCH_CAPACITY,
 };
-pub use events::{Measurement, NullEvents, Tee, VmEvents};
+pub use events::{Measurement, NullEvents, VmEvents};
 pub use guest::{GuestVm, VmError, VmOutput};
 pub use layout::{CodeSpace, Routine, RoutineTable, DYNAMIC_BASE, STATIC_BASE};
 pub use measure::{measure, measure_trace, measure_trace_with, measure_with, profile, record};

@@ -119,7 +119,6 @@ impl VmEvents for ExecutionTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::Tee;
 
     #[derive(Default)]
     struct Log(Vec<String>);
@@ -150,20 +149,6 @@ mod tests {
         assert_eq!(trace.len(), 4);
         assert_eq!(trace.transfers(), 2);
         assert!(!trace.is_empty());
-    }
-
-    #[test]
-    fn trace_can_be_recorded_through_a_tee() {
-        // Record and profile simultaneously, as a harness would.
-        let mut trace = ExecutionTrace::new();
-        let mut log = Log::default();
-        {
-            let mut tee = Tee { a: &mut trace, b: &mut log };
-            tee.begin(0);
-            tee.transfer(0, 1, false);
-        }
-        assert_eq!(trace.len(), 2);
-        assert_eq!(log.0.len(), 2);
     }
 
     #[test]

@@ -218,14 +218,21 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses a JSON document. Numbers come back as [`Json::Int`] when they are
-/// integral and fit, [`Json::Num`] otherwise.
+/// How deeply arrays and objects may nest before [`parse`] gives up. Every
+/// report this workspace writes nests a handful of levels; the bound keeps
+/// hostile input from exhausting the stack.
+const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document in time linear in its length. Numbers come back
+/// as [`Json::Int`] when they are integral and fit, [`Json::Num`]
+/// otherwise.
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] on malformed input or trailing garbage.
+/// Returns a [`ParseError`] on malformed input, trailing garbage, or
+/// arrays and objects nested more than 128 levels deep.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -236,8 +243,11 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -279,11 +289,25 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses an array or object one nesting level further down.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
@@ -326,11 +350,10 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty");
+                    // Consume one UTF-8 character: every step so far
+                    // advanced by whole characters, so `pos` is a char
+                    // boundary of the input.
+                    let c = self.text[self.pos..].chars().next().expect("non-empty");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }

@@ -4,8 +4,6 @@
 //! counts, cache misses, cycles per technique — so this crate makes every
 //! measurement in the workspace machine-readable and attributable:
 //!
-//! * [`Registry`] — named counters, gauges and fixed-bucket histograms
-//!   with a deterministic JSON serialisation.
 //! * [`DispatchAttribution`] / [`AttributedPredictor`] — attribution
 //!   sinks breaking mispredictions down per VM opcode, per instance, per
 //!   branch and per BTB set.
@@ -31,7 +29,6 @@
 mod attrib;
 mod json;
 mod manifest;
-mod metrics;
 mod ring;
 pub mod span;
 
@@ -42,65 +39,10 @@ pub use json::{parse, Json, ParseError};
 pub use manifest::{
     smoke_enabled, CellWall, ExecutorMeta, RunManifest, SamplingEntry, SamplingMeta, TraceMeta,
 };
-pub use metrics::{Histogram, Registry};
 pub use ring::{DispatchRecord, DispatchRing};
 pub use span::PhaseAgg;
 
-use ivm_core::{OpId, VmEvents};
 use std::path::PathBuf;
-
-/// Counts the raw [`VmEvents`] stream of a run: begins, transfers split by
-/// taken/fall-through, and quickenings. Tee it next to a measurement sink
-/// (via [`ivm_core::Tee`]) to cross-check engine counters or feed a
-/// [`Registry`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EventCounters {
-    /// `begin` events (run entries/re-entries).
-    pub begins: u64,
-    /// All `transfer` events.
-    pub transfers: u64,
-    /// Transfers with `taken == true`.
-    pub taken: u64,
-    /// Quickening rewrites reported.
-    pub quickenings: u64,
-}
-
-impl EventCounters {
-    /// A zeroed counter set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Transfers with `taken == false`.
-    pub fn fallthrough(&self) -> u64 {
-        self.transfers - self.taken
-    }
-
-    /// Serialises the counters.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("begins", self.begins)
-            .with("transfers", self.transfers)
-            .with("taken", self.taken)
-            .with("fallthrough", self.fallthrough())
-            .with("quickenings", self.quickenings)
-    }
-}
-
-impl VmEvents for EventCounters {
-    fn begin(&mut self, _entry: usize) {
-        self.begins += 1;
-    }
-
-    fn transfer(&mut self, _from: usize, _to: usize, taken: bool) {
-        self.transfers += 1;
-        self.taken += u64::from(taken);
-    }
-
-    fn quicken(&mut self, _instance: usize, _quick_op: OpId) {
-        self.quickenings += 1;
-    }
-}
 
 /// Finds the workspace root by walking up from `CARGO_MANIFEST_DIR` (set
 /// by cargo for `run`/`test`/`bench` processes) or the current directory,
@@ -137,23 +79,6 @@ pub fn results_json_dir() -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn event_counters_track_the_stream() {
-        let mut c = EventCounters::new();
-        c.begin(0);
-        c.transfer(0, 1, false);
-        c.transfer(1, 0, true);
-        c.transfer(0, 1, false);
-        c.quicken(1, 7);
-        assert_eq!(c.begins, 1);
-        assert_eq!(c.transfers, 3);
-        assert_eq!(c.taken, 1);
-        assert_eq!(c.fallthrough(), 2);
-        assert_eq!(c.quickenings, 1);
-        let j = c.to_json();
-        assert_eq!(j.get("fallthrough").and_then(Json::as_f64), Some(2.0));
-    }
 
     #[test]
     fn workspace_root_contains_a_workspace_manifest() {

@@ -165,7 +165,7 @@ fn round6(v: f64) -> f64 {
 pub struct TraceMeta {
     /// Traces captured fresh (cache misses) during this run.
     pub captured: usize,
-    /// Traces served from the on-disk or in-memory cache.
+    /// Traces loaded from a valid file in the on-disk cache.
     pub cache_hits: usize,
     /// Total dispatch events across all traces this run touched.
     pub events: u64,
