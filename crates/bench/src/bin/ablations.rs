@@ -230,10 +230,7 @@ fn tos_caching(out: &mut Report, training: &Profile) {
                     Some(training),
                     image.super_selection(),
                 );
-                let mut m = ivm_core::Measurement::new(
-                    translation,
-                    ivm_core::Runner::new(Engine::for_cpu(&cpu)),
-                );
+                let mut m = ivm_core::Measurement::new(translation, Engine::for_cpu(&cpu));
                 image.execute(&mut m, image.default_fuel()).expect("runs");
                 m.finish().cycles
             };

@@ -14,7 +14,7 @@
 use ivm_bench::{frontends, run_cells, speedup_rows, Cell, Frontend, Report, Row};
 use ivm_bpred::BtbConfig;
 use ivm_cache::CpuSpec;
-use ivm_core::{Engine, Measurement, RunResult, Runner, Technique};
+use ivm_core::{Engine, Measurement, RunResult, Technique};
 use ivm_obs::{DispatchAttribution, Json};
 
 /// Measures one frontend's grid and prints its speedup table. Returns
@@ -58,7 +58,7 @@ fn attribution(fe: &'static Frontend, tech: Technique, cpu: &CpuSpec) -> Json {
         image.super_selection(),
     );
     let engine = Engine::for_cpu(cpu).with_observer(sink.clone());
-    let mut m = Measurement::new(translation, Runner::new(engine));
+    let mut m = Measurement::new(translation, engine);
     image
         .execute(&mut m, image.default_fuel())
         .unwrap_or_else(|e| panic!("{}/{name}/{tech}: {e}", fe.name));

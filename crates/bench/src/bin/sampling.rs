@@ -82,7 +82,7 @@ fn main() {
             run_cells(vec![Cell::new(format!("sampling/full/{fname}/{bench}"), ())], |_, _| {
                 let mut predictors: Vec<AnyPredictor> =
                     predictor_registry().iter().map(|(_, build)| build()).collect();
-                pipeline::simulate_full(trace, &mut predictors)
+                ivm_core::simulate_many(trace, &mut predictors)
                     .iter()
                     .map(|s| 100.0 * s.misprediction_rate())
                     .collect::<Vec<f64>>()

@@ -19,7 +19,7 @@
 use ivm_bench::{frontend, run_cells, Cell, Frontend, Report, Row};
 use ivm_bpred::BtbConfig;
 use ivm_cache::CpuSpec;
-use ivm_core::{Engine, Measurement, Profile, Runner, Technique};
+use ivm_core::{Engine, Measurement, Profile, Technique};
 use ivm_obs::{DispatchAttribution, Json};
 
 /// Re-runs a benchmark under `tech` with an attribution observer attached
@@ -44,7 +44,7 @@ fn attribution_for(
         image.super_selection(),
     );
     let engine = Engine::for_cpu(cpu).with_observer(sink.clone());
-    let mut m = Measurement::new(translation, Runner::new(engine));
+    let mut m = Measurement::new(translation, engine);
     image.execute(&mut m, image.default_fuel()).unwrap_or_else(|e| panic!("{name}/{tech}: {e}"));
     let attrib = sink.borrow();
     let breakdown = attrib.to_json(Some(m.translation()));

@@ -55,7 +55,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use ivm_bpred::{AnyPredictor, PredStats};
+use ivm_bpred::AnyPredictor;
 use ivm_core::{DispatchTrace, IntervalIndex, SpecHasher, Technique};
 use ivm_harness::cluster::Clustering;
 use ivm_obs::{SamplingEntry, SamplingMeta};
@@ -209,10 +209,10 @@ fn run_interval(
     let mut p = build();
     let mut fed = 0u64;
     if let Some(w) = warmup {
-        let _ = p.with_monomorphized(|m| m.run_stream(w));
+        let _ = p.run_stream(w);
         fed += w.len() as u64;
     }
-    let (executed, mispredicted) = p.with_monomorphized(|m| m.run_stream(events));
+    let (executed, mispredicted) = p.run_stream(events);
     fed += executed;
     (if executed > 0 { mispredicted as f64 / executed as f64 } else { 0.0 }, fed)
 }
@@ -263,13 +263,6 @@ pub fn simulate_sampled(
         })
         .collect();
     SampledRun { clusters, simulated_events }
-}
-
-/// The full-fidelity simulate stage: the existing single-pass sweep,
-/// unchanged — one decode, every predictor, bit-identical to the
-/// pre-pipeline path.
-pub fn simulate_full(trace: &DispatchTrace, predictors: &mut [AnyPredictor]) -> Vec<PredStats> {
-    ivm_core::simulate_many(trace, predictors)
 }
 
 // ---------------------------------------------------------------------------
@@ -406,7 +399,7 @@ mod tests {
     fn sampled_estimate_matches_full_within_the_bar() {
         let t = two_phase_trace(5_000);
         let mut preds = vec![builder()];
-        let full = simulate_full(&t, &mut preds);
+        let full = ivm_core::simulate_many(&t, &mut preds);
         let full_pct = 100.0 * full[0].misprediction_rate();
 
         let p = plan(&t, 250, 4);

@@ -1,91 +1,78 @@
-//! The differential proof behind the batched dispatch fast path: the
-//! engine's event-batch seam (struct-of-arrays accumulation, one
-//! observer call per batch) and the enum-dispatched predictor must be
-//! *invisible* in every result artifact. For each frontend, the fast
-//! path — `AnyPredictor` enum variant + default batch capacity — is
-//! compared against the reference path — a `Boxed` trait object behind
-//! the same enum + capacity-1 batches (per-dispatch delivery, the old
-//! virtual-call behaviour) — and the hardware counters, cycles,
-//! attribution JSON and encoded `.dtrace` bytes must all come out
-//! bit-identical.
+//! Batched observers agree with the engine. The engine hands dispatch
+//! events to its observer in fixed-size batches; for each frontend and
+//! technique, attaching either production observer — the trace store's
+//! [`DispatchTrace`] or the reports' [`DispatchAttribution`] — must leave
+//! the measured run bit-identical, and what the observer collected across
+//! every batch must account for exactly the dispatches the engine counted.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use ivm_bench::frontend;
-use ivm_bpred::{AnyPredictor, Btb, BtbConfig, IndirectPredictor};
+use ivm_bpred::{AnyPredictor, Btb, BtbConfig};
 use ivm_cache::{CycleCosts, Icache, IcacheConfig};
 use ivm_core::{
-    DispatchTrace, Engine, ExecutionTrace, GuestVm, Profile, RunResult, SharedObserver, Technique,
+    simulate_many, DispatchBatch, DispatchObserver, DispatchTrace, Engine, ExecutionTrace, GuestVm,
+    Profile, RunResult, SharedObserver, Technique,
 };
 use ivm_obs::DispatchAttribution;
 
-/// One measured replay with a given predictor and batch capacity,
-/// returning the run result plus both observer artifacts (captured in
-/// two passes so each observer sees the stream alone, exactly as the
-/// production pipelines attach them).
-fn run_path<G: GuestVm + ?Sized>(
+/// Forwards every batch to `inner`, counting the deliveries.
+struct Counted<O> {
+    inner: O,
+    batches: usize,
+}
+
+impl<O: DispatchObserver> DispatchObserver for Counted<O> {
+    fn dispatch_batch(&mut self, batch: &DispatchBatch) {
+        self.batches += 1;
+        self.inner.dispatch_batch(batch);
+    }
+}
+
+fn counted<O>(inner: O) -> Rc<RefCell<Counted<O>>> {
+    Rc::new(RefCell::new(Counted { inner, batches: 0 }))
+}
+
+fn celeron_btb() -> AnyPredictor {
+    Btb::new(BtbConfig::celeron()).into()
+}
+
+/// One measured replay on a Celeron BTB and L1 I-cache, with `observer`
+/// attached when given.
+fn replay<G: GuestVm + ?Sized>(
     vm: &G,
     exec: &ExecutionTrace,
     technique: Technique,
     training: &Profile,
-    make: &dyn Fn() -> AnyPredictor,
-    capacity: Option<usize>,
-) -> (RunResult, Vec<u8>, String) {
-    let engine = |observer: SharedObserver| {
-        let e = Engine::new(
-            make(),
-            Box::new(Icache::new(IcacheConfig::celeron_l1i())),
-            CycleCosts::celeron(),
-        );
-        let e = match capacity {
-            Some(c) => e.with_batch_capacity(c),
-            None => e,
-        };
-        e.with_observer(observer)
-    };
-
-    let trace_sink = Rc::new(RefCell::new(DispatchTrace::new(0, technique.id())));
-    let result = ivm_core::measure_trace_with(
-        vm,
-        exec,
-        technique,
-        engine(trace_sink.clone() as SharedObserver),
-        Some(training),
+    observer: Option<SharedObserver>,
+) -> RunResult {
+    let mut engine = Engine::new(
+        celeron_btb(),
+        Box::new(Icache::new(IcacheConfig::celeron_l1i())),
+        CycleCosts::celeron(),
     );
-    let trace_bytes = trace_sink.borrow().to_bytes();
-
-    let attrib_sink = DispatchAttribution::new().with_btb_sets(BtbConfig::celeron()).shared();
-    let _ = ivm_core::measure_trace_with(
-        vm,
-        exec,
-        technique,
-        engine(attrib_sink.clone() as SharedObserver),
-        Some(training),
-    );
-    let attrib_json = attrib_sink.borrow().to_json(None).to_string();
-
-    (result, trace_bytes, attrib_json)
+    if let Some(observer) = observer {
+        engine = engine.with_observer(observer);
+    }
+    ivm_core::measure_trace_with(vm, exec, technique, engine, Some(training))
 }
 
-fn assert_identical(
-    label: &str,
-    fast: &(RunResult, Vec<u8>, String),
-    r: &(RunResult, Vec<u8>, String),
-) {
-    assert_eq!(fast.0.counters, r.0.counters, "{label}: hardware counters diverge");
+fn assert_same_run(label: &str, plain: &RunResult, observed: &RunResult) {
+    assert_eq!(plain.counters, observed.counters, "{label}: hardware counters diverge");
     assert_eq!(
-        fast.0.cycles.to_bits(),
-        r.0.cycles.to_bits(),
+        plain.cycles.to_bits(),
+        observed.cycles.to_bits(),
         "{label}: cycle counts are not bit-identical"
     );
-    assert_eq!(fast.0.icache_set_misses, r.0.icache_set_misses, "{label}: per-set misses diverge");
-    assert_eq!(fast.1, r.1, "{label}: encoded .dtrace bytes diverge");
-    assert_eq!(fast.2, r.2, "{label}: attribution JSON diverges");
+    assert_eq!(
+        plain.icache_set_misses, observed.icache_set_misses,
+        "{label}: per-set misses diverge"
+    );
 }
 
 #[test]
-fn batched_fast_path_is_bit_identical_to_per_dispatch_reference() {
+fn batched_observers_agree_with_the_engine() {
     let plans: [(&str, &str); 3] = [("forth", "micro"), ("java", "mpeg"), ("calc", "triangle")];
     for (fe, bench) in plans {
         let f = frontend(fe);
@@ -94,27 +81,43 @@ fn batched_fast_path_is_bit_identical_to_per_dispatch_reference() {
         let (exec, _) = ivm_core::record(&*image).expect("recording run");
 
         for technique in [Technique::Threaded, Technique::DynamicRepl] {
-            let cfg = BtbConfig::celeron();
-            // Fast path: monomorphized enum variant, default batching.
-            let fast =
-                run_path(&*image, &exec, technique, &training, &|| Btb::new(cfg).into(), None);
-            // Reference: the dyn-dispatch escape hatch with per-dispatch
-            // observer delivery — behaviourally the pre-batching engine.
-            let reference = run_path(
-                &*image,
-                &exec,
-                technique,
-                &training,
-                &|| AnyPredictor::Boxed(Box::new(Btb::new(cfg)) as Box<dyn IndirectPredictor>),
-                Some(1),
-            );
-            assert_identical(&format!("{fe}/{bench}/{technique}"), &fast, &reference);
+            let label = format!("{fe}/{bench}/{technique}");
+            let plain = replay(&*image, &exec, technique, &training, None);
+            let expected = (plain.counters.indirect_branches, plain.counters.indirect_mispredicted);
 
-            // A deliberately awkward capacity exercises the partial-flush
-            // boundary (batches that split mid-iteration).
-            let odd =
-                run_path(&*image, &exec, technique, &training, &|| Btb::new(cfg).into(), Some(3));
-            assert_identical(&format!("{fe}/{bench}/{technique} (capacity 3)"), &odd, &reference);
+            let trace = counted(DispatchTrace::new(0, technique.id()));
+            let traced = replay(&*image, &exec, technique, &training, Some(trace.clone()));
+            assert_same_run(&format!("{label} with a trace"), &plain, &traced);
+            let trace = trace.borrow();
+            assert_eq!(
+                trace.inner.len() as u64,
+                plain.counters.indirect_branches,
+                "{label}: one captured event per indirect branch"
+            );
+            assert!(trace.batches > 1, "{label}: the stream must span more than one batch");
+            let swept = simulate_many(&trace.inner, &mut [celeron_btb()])[0];
+            assert_eq!(
+                (swept.executed, swept.mispredicted),
+                expected,
+                "{label}: the captured stream does not reproduce the engine's predictions"
+            );
+
+            let attrib = counted(DispatchAttribution::new().with_btb_sets(BtbConfig::celeron()));
+            let attributed = replay(&*image, &exec, technique, &training, Some(attrib.clone()));
+            assert_same_run(&format!("{label} with attribution"), &plain, &attributed);
+            let attrib = attrib.borrow();
+            let total = attrib.inner.total();
+            assert_eq!(
+                (total.executed, total.mispredicted),
+                expected,
+                "{label}: attribution totals diverge from the counters"
+            );
+            let per_set = attrib
+                .inner
+                .set_conflicts()
+                .iter()
+                .fold((0, 0), |(e, m), s| (e + s.tally.executed, m + s.tally.mispredicted));
+            assert_eq!(per_set, expected, "{label}: per-set sums diverge from the counters");
         }
     }
 }

@@ -6,21 +6,18 @@
 //! this crate ships: an enum whose [`IndirectPredictor`] impl is a single
 //! inlined `match`, so a monomorphic call site (the engine's hot loop, a
 //! sweep's per-predictor inner loop) compiles down to direct calls into
-//! the variant's update code. External or wrapped predictors still fit
-//! through the [`AnyPredictor::Boxed`] escape hatch, which keeps exactly
-//! the old dynamic-dispatch behaviour.
+//! the variant's update code.
 
 use crate::{
     Addr, Btb, CascadedPredictor, IdealBtb, IndirectPredictor, Ittage, PathHybrid, TwoBitBtb,
     TwoLevelPredictor,
 };
 
-/// Every in-tree predictor behind one statically-dispatched type, plus a
-/// boxed escape hatch for everything else.
+/// Every in-tree predictor behind one statically-dispatched type.
 ///
-/// Construct via `From`/`Into` from any concrete predictor (or from a
-/// `Box<dyn IndirectPredictor>`); behaviour is bit-identical to calling
-/// the wrapped predictor directly — the enum adds dispatch, never state.
+/// Construct via `From`/`Into` from any concrete predictor; behaviour is
+/// bit-identical to calling the wrapped predictor directly — the enum adds
+/// dispatch, never state.
 ///
 /// # Examples
 ///
@@ -47,8 +44,6 @@ pub enum AnyPredictor {
     PathHybrid(PathHybrid),
     /// An ITTAGE-style tagged geometric-history predictor ([`Ittage`]).
     Ittage(Ittage),
-    /// Anything else, behind the old dynamic dispatch.
-    Boxed(Box<dyn IndirectPredictor>),
 }
 
 impl std::fmt::Debug for AnyPredictor {
@@ -99,12 +94,6 @@ impl From<Ittage> for AnyPredictor {
     }
 }
 
-impl From<Box<dyn IndirectPredictor>> for AnyPredictor {
-    fn from(p: Box<dyn IndirectPredictor>) -> Self {
-        Self::Boxed(p)
-    }
-}
-
 impl IndirectPredictor for AnyPredictor {
     #[inline]
     fn predict_and_update(&mut self, branch: Addr, target: Addr) -> bool {
@@ -116,7 +105,6 @@ impl IndirectPredictor for AnyPredictor {
             Self::Cascaded(p) => p.predict_and_update(branch, target),
             Self::PathHybrid(p) => p.predict_and_update(branch, target),
             Self::Ittage(p) => p.predict_and_update(branch, target),
-            Self::Boxed(p) => p.predict_and_update(branch, target),
         }
     }
 
@@ -129,7 +117,6 @@ impl IndirectPredictor for AnyPredictor {
             Self::Cascaded(p) => p.reset(),
             Self::PathHybrid(p) => p.reset(),
             Self::Ittage(p) => p.reset(),
-            Self::Boxed(p) => p.reset(),
         }
     }
 
@@ -142,59 +129,43 @@ impl IndirectPredictor for AnyPredictor {
             Self::Cascaded(p) => p.describe(),
             Self::PathHybrid(p) => p.describe(),
             Self::Ittage(p) => p.describe(),
-            Self::Boxed(p) => p.describe(),
         }
     }
 }
 
 impl AnyPredictor {
-    /// Runs `f` with the wrapped predictor as a concrete (monomorphized)
-    /// `&mut impl IndirectPredictor` — the match happens once here, so a
-    /// loop inside `f` pays no per-iteration dispatch. This is how
-    /// `simulate_many` hoists predictor dispatch out of its inner loop.
-    #[inline]
-    pub fn with_monomorphized<R>(&mut self, f: impl FnOnce(&mut dyn Monomorphized) -> R) -> R {
+    /// Feeds every `(branch, target)` event through the predictor,
+    /// returning `(executed, mispredicted)` counts. The variant is matched
+    /// once here, so the loop runs against the concrete predictor with no
+    /// per-event dispatch — how `simulate_many` and sampled simulation
+    /// hoist predictor dispatch out of their inner loops.
+    pub fn run_stream(&mut self, events: &[(Addr, Addr)]) -> (u64, u64) {
+        fn run<P: IndirectPredictor>(p: &mut P, events: &[(Addr, Addr)]) -> (u64, u64) {
+            let mut mispredicted = 0u64;
+            for &(branch, target) in events {
+                mispredicted += u64::from(!p.predict_and_update(branch, target));
+            }
+            (events.len() as u64, mispredicted)
+        }
         match self {
-            Self::Ideal(p) => f(p),
-            Self::Btb(p) => f(p),
-            Self::TwoBit(p) => f(p),
-            Self::TwoLevel(p) => f(p),
-            Self::Cascaded(p) => f(p),
-            Self::PathHybrid(p) => f(p),
-            Self::Ittage(p) => f(p),
-            Self::Boxed(p) => f(p),
+            Self::Ideal(p) => run(p, events),
+            Self::Btb(p) => run(p, events),
+            Self::TwoBit(p) => run(p, events),
+            Self::TwoLevel(p) => run(p, events),
+            Self::Cascaded(p) => run(p, events),
+            Self::PathHybrid(p) => run(p, events),
+            Self::Ittage(p) => run(p, events),
         }
     }
 
     /// The ITTAGE provider/alternate breakdown, when this predictor is an
-    /// [`Ittage`] (directly, not boxed). Lets sweeps surface tagged-table
-    /// attribution without downcasting.
+    /// [`Ittage`]. Lets sweeps surface tagged-table attribution without
+    /// downcasting.
     pub fn ittage_breakdown(&self) -> Option<&crate::IttageBreakdown> {
         match self {
             Self::Ittage(p) => Some(p.breakdown()),
             _ => None,
         }
-    }
-}
-
-/// Object-safe view used by [`AnyPredictor::with_monomorphized`]: each
-/// concrete predictor gets one specialised [`Monomorphized::run_stream`]
-/// whose inner loop calls its `predict_and_update` directly (inlined),
-/// instead of re-dispatching per event.
-pub trait Monomorphized {
-    /// Feeds every `(branch, target)` event through the predictor,
-    /// returning `(executed, mispredicted)` counts.
-    fn run_stream(&mut self, events: &[(Addr, Addr)]) -> (u64, u64);
-}
-
-impl<P: IndirectPredictor> Monomorphized for P {
-    #[inline]
-    fn run_stream(&mut self, events: &[(Addr, Addr)]) -> (u64, u64) {
-        let mut mispredicted = 0u64;
-        for &(branch, target) in events {
-            mispredicted += u64::from(!self.predict_and_update(branch, target));
-        }
-        (events.len() as u64, mispredicted)
     }
 }
 
@@ -212,7 +183,6 @@ mod tests {
             CascadedPredictor::with_defaults().into(),
             PathHybrid::new(PathHybridConfig::classic()).into(),
             Ittage::new(IttageConfig::small()).into(),
-            AnyPredictor::from(Box::new(IdealBtb::new()) as Box<dyn IndirectPredictor>),
         ]
     }
 
@@ -230,7 +200,6 @@ mod tests {
             Box::new(CascadedPredictor::with_defaults()),
             Box::new(PathHybrid::new(PathHybridConfig::classic())),
             Box::new(Ittage::new(IttageConfig::small())),
-            Box::new(IdealBtb::new()),
         ];
         for (mut any, mut plain) in zoo().into_iter().zip(fresh) {
             assert_eq!(any.describe(), plain.describe());
@@ -268,7 +237,7 @@ mod tests {
             for &(b, t) in &stream {
                 expect += u64::from(!stepped.predict_and_update(b, t));
             }
-            let (executed, mispredicted) = streamed.with_monomorphized(|m| m.run_stream(&stream));
+            let (executed, mispredicted) = streamed.run_stream(&stream);
             assert_eq!(executed, stream.len() as u64);
             assert_eq!(mispredicted, expect, "{desc}");
         }

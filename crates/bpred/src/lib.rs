@@ -29,9 +29,9 @@
 //!   history lengths with usefulness-guided allocation, the predictor class
 //!   in current high-end cores (Apple Firestorm, Qualcomm Oryon). Models
 //!   what the paper's conclusions look like on 2025 silicon.
-//! * [`AnyPredictor`] — enum dispatch over the predictors above (plus a
-//!   boxed escape hatch), so simulate hot loops pay an inlined `match`
-//!   instead of a virtual call per dispatch.
+//! * [`AnyPredictor`] — enum dispatch over the predictors above, so
+//!   simulate hot loops pay an inlined `match` instead of a virtual call
+//!   per dispatch.
 //!
 //! All predictors implement [`IndirectPredictor`]: feed every executed
 //! indirect branch through [`IndirectPredictor::predict_and_update`] and it
@@ -69,7 +69,7 @@ mod stats;
 mod two_bit;
 mod two_level;
 
-pub use any::{AnyPredictor, Monomorphized};
+pub use any::AnyPredictor;
 pub use btb::{Btb, BtbConfig};
 pub use cascaded::CascadedPredictor;
 pub use case_block::CaseBlockTable;

@@ -55,7 +55,9 @@ fn err<T>(message: impl Into<String>) -> Result<T, AsmError> {
 /// # Errors
 ///
 /// Returns an [`AsmError`] for unknown mnemonics, missing or duplicate
-/// labels, malformed operands, or slot indices outside [`SLOTS`].
+/// labels, malformed operands, slot indices outside [`SLOTS`], a jump or
+/// call to a label after the last instruction, or a last instruction
+/// other than `jmp`, `ret` or `halt` (execution would run off the end).
 ///
 /// # Examples
 ///
@@ -73,6 +75,7 @@ pub fn assemble(source: &str) -> Result<CalcImage, AsmError> {
     let mut labels: std::collections::BTreeMap<&str, u32> = std::collections::BTreeMap::new();
     // (instance, label, is_call) fixups resolved after the first pass.
     let mut fixups: Vec<(u32, &str, bool)> = Vec::new();
+    let mut last = "";
 
     for (lineno, raw) in source.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
@@ -94,6 +97,7 @@ pub fn assemble(source: &str) -> Result<CalcImage, AsmError> {
         if tokens.next().is_some() {
             return err(format!("line {}: trailing tokens after {head}", lineno + 1));
         }
+        last = head;
         let int_operand = || -> Result<i64, AsmError> {
             let text =
                 operand.ok_or_else(|| AsmError { message: format!("{head} needs an operand") })?;
@@ -145,10 +149,16 @@ pub fn assemble(source: &str) -> Result<CalcImage, AsmError> {
     if b.is_empty() {
         return err("empty program");
     }
+    if !matches!(last, "jmp" | "ret" | "halt") {
+        return err(format!("the last instruction, {last}, would run off the end"));
+    }
     for (i, label, is_call) in fixups {
         let Some(&target) = labels.get(label) else {
             return err(format!("undefined label {label}"));
         };
+        if target as usize == b.len() {
+            return err(format!("label {label} follows the last instruction"));
+        }
         b.patch_target(i, target);
         if is_call {
             b.mark_entry(target);
@@ -402,6 +412,15 @@ mod tests {
         assert!(assemble("push\nhalt").is_err());
         assert!(assemble("load 99\nhalt").is_err());
         assert!(assemble("push 1 2\nhalt").is_err());
+    }
+
+    #[test]
+    fn assembler_rejects_programs_that_run_off_the_end() {
+        assert!(assemble("push 1").is_err(), "falls through the last instruction");
+        assert!(assemble("push 1\njz done\ndone:\nhalt").is_ok());
+        assert!(assemble("call f\nhalt\nf:").is_err(), "calls past the last instruction");
+        assert!(assemble("jmp end\nend:").is_err(), "jumps past the last instruction");
+        assert!(assemble("halt\nunused:").is_ok(), "an unused trailing label is harmless");
     }
 
     #[test]

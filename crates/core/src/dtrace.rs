@@ -41,7 +41,7 @@ use std::collections::HashMap;
 
 use ivm_bpred::{Addr, AnyPredictor, PredStats};
 
-use crate::engine::DispatchObserver;
+use crate::engine::{DispatchBatch, DispatchObserver};
 use crate::native::InstKind;
 use crate::profile::Profile;
 use crate::program::ProgramCode;
@@ -484,20 +484,7 @@ impl DispatchTrace {
 }
 
 impl DispatchObserver for DispatchTrace {
-    fn dispatch(
-        &mut self,
-        _from: usize,
-        _to: usize,
-        branch: Addr,
-        target: Addr,
-        _mispredicted: bool,
-    ) {
-        self.push(branch, target);
-    }
-
-    fn dispatch_batch(&mut self, batch: &crate::engine::DispatchBatch) {
-        // Batch-native capture: zip the two address columns straight into
-        // the event vector, no per-event observer call.
+    fn dispatch_batch(&mut self, batch: &DispatchBatch) {
         self.events.extend(batch.branches().iter().copied().zip(batch.targets().iter().copied()));
     }
 }
@@ -509,19 +496,17 @@ impl DispatchObserver for DispatchTrace {
 /// same `predict_and_update` calls as N separate replays, but decodes the
 /// event stream once, so sweep cost is dominated by predictor work
 /// instead of stream traffic. Each predictor walks the decoded events as
-/// its own inner loop (rather than interleaving predictors per event),
-/// and the [`AnyPredictor`] variant is matched *once* per pass — the
-/// inner loop is monomorphized against the concrete predictor type, so
-/// in-tree predictors pay no per-event dispatch at all (boxed externals
-/// keep the old one-virtual-call-per-event behaviour). Outcomes are
-/// bit-identical to running each predictor alone — predictors share no
-/// state, so the loop order is unobservable.
+/// its own inner loop ([`AnyPredictor::run_stream`], which matches the
+/// variant once per pass, so the loop pays no per-event dispatch) rather
+/// than interleaving predictors per event. Outcomes are bit-identical to
+/// running each predictor alone — predictors share no state, so the loop
+/// order is unobservable.
 pub fn simulate_many(trace: &DispatchTrace, predictors: &mut [AnyPredictor]) -> Vec<PredStats> {
     let _span = ivm_harness::span::enter("predictor_sweep");
     predictors
         .iter_mut()
         .map(|p| {
-            let (executed, mispredicted) = p.with_monomorphized(|m| m.run_stream(&trace.events));
+            let (executed, mispredicted) = p.run_stream(&trace.events);
             PredStats { executed, mispredicted }
         })
         .collect()
@@ -670,9 +655,11 @@ mod tests {
 
     #[test]
     fn observer_hook_appends_the_predictor_view() {
+        let mut batch = DispatchBatch::default();
+        batch.push(3, 4, 0x100, 0x200, true);
+        batch.push(4, 5, 0x110, 0x210, false);
         let mut t = DispatchTrace::new(0, "threaded");
-        t.dispatch(3, 4, 0x100, 0x200, true);
-        t.dispatch(4, 5, 0x110, 0x210, false);
+        t.dispatch_batch(&batch);
         assert_eq!(t.iter().collect::<Vec<_>>(), vec![(0x100, 0x200), (0x110, 0x210)]);
     }
 
@@ -686,31 +673,29 @@ mod tests {
         for (b, tg) in t.iter() {
             expect.record(alone.predict_and_update(b, tg));
         }
-        // One enum-dispatched and one boxed instance of the same predictor:
-        // the monomorphized pass and the dyn escape hatch must agree with a
-        // hand-stepped run and with each other.
-        let mut preds: Vec<AnyPredictor> =
-            vec![IdealBtb::new().into(), AnyPredictor::Boxed(Box::new(IdealBtb::new()))];
+        // Two instances of the same predictor in one pass must each agree
+        // with a hand-stepped run.
+        let mut preds: Vec<AnyPredictor> = vec![IdealBtb::new().into(), IdealBtb::new().into()];
         let stats = simulate_many(&t, &mut preds);
         assert_eq!(stats, vec![expect, expect], "shared pass must not couple predictors");
     }
 
     #[test]
     fn dispatch_batch_capture_matches_per_event_capture() {
-        use crate::engine::DispatchBatch;
-
-        let mut batch = DispatchBatch::new(8);
-        batch.push(1, 2, 0x100, 0x200, true);
-        batch.push(2, 3, 0x110, 0x210, false);
-        batch.push(3, 1, 0x100, 0x200, false);
+        let mut first = DispatchBatch::default();
+        first.push(1, 2, 0x100, 0x200, true);
+        first.push(2, 3, 0x110, 0x210, false);
+        let mut second = DispatchBatch::default();
+        second.push(3, 1, 0x100, 0x200, false);
 
         let mut batched = DispatchTrace::new(0, "threaded");
-        batched.dispatch_batch(&batch);
+        batched.dispatch_batch(&first);
+        batched.dispatch_batch(&second);
         let mut stepped = DispatchTrace::new(0, "threaded");
-        for (f, t, b, tg, m) in batch.iter() {
-            stepped.dispatch(f, t, b, tg, m);
+        for (_, _, b, tg, _) in first.iter().chain(second.iter()) {
+            stepped.push(b, tg);
         }
-        assert_eq!(batched, stepped, "column capture must equal per-event capture");
+        assert_eq!(batched, stepped, "consecutive batches append in execution order");
     }
 
     #[test]

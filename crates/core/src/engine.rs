@@ -1,29 +1,32 @@
 //! The instrumented dispatch engine: predictors, caches and counters glued
-//! to an executing interpreter.
+//! to an executing interpreter, and the [`Measurement`] sink that drives
+//! it from the interpreter's control-transfer events.
 
 use ivm_bpred::{Addr, AnyPredictor, IndirectPredictor};
 use ivm_cache::{CpuSpec, CycleCosts, FetchCache, PerfCounters};
 
+use crate::events::VmEvents;
 use crate::slots::{AltCode, DispatchPoint};
+use crate::spec::OpId;
 use crate::technique::Technique;
 use crate::translate::Translation;
 
-/// Default capacity of the engine's dispatch event batch, in events.
+/// Events the engine batches before handing them to its observer.
 ///
 /// Large enough to amortise the per-flush `RefCell` borrow and virtual
 /// call over ~1k dispatches, small enough (~33 KiB of parallel arrays)
 /// to stay cache-resident next to the predictor tables.
-pub const DISPATCH_BATCH_CAPACITY: usize = 1024;
+const BATCH_CAPACITY: usize = 1024;
 
-/// A fixed-capacity struct-of-arrays batch of dispatch events.
+/// A struct-of-arrays batch of dispatch events.
 ///
 /// The [`Engine`] accumulates every observed dispatch —
 /// `(from, to, branch, target, mispredicted)` — into these parallel
 /// arrays and hands the whole batch to the observer in one
 /// [`DispatchObserver::dispatch_batch`] call, instead of paying a
-/// `RefCell` borrow plus a virtual call per dispatch. Batch-native
-/// observers consume the column slices directly; everyone else gets the
-/// default per-event replay, which preserves exact `dispatch` order.
+/// `RefCell` borrow plus a virtual call per dispatch. Observers consume
+/// the column slices directly, or walk the rows with
+/// [`DispatchBatch::iter`].
 #[derive(Debug, Clone, Default)]
 pub struct DispatchBatch {
     from: Vec<usize>,
@@ -31,27 +34,9 @@ pub struct DispatchBatch {
     branches: Vec<Addr>,
     targets: Vec<Addr>,
     mispredicted: Vec<bool>,
-    capacity: usize,
 }
 
 impl DispatchBatch {
-    /// An empty batch that flushes after `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "batch capacity must be at least 1");
-        Self {
-            from: Vec::with_capacity(capacity),
-            to: Vec::with_capacity(capacity),
-            branches: Vec::with_capacity(capacity),
-            targets: Vec::with_capacity(capacity),
-            mispredicted: Vec::with_capacity(capacity),
-            capacity,
-        }
-    }
-
     /// Appends one dispatch event.
     #[inline]
     pub fn push(&mut self, from: usize, to: usize, branch: Addr, target: Addr, miss: bool) {
@@ -72,14 +57,8 @@ impl DispatchBatch {
         self.branches.is_empty()
     }
 
-    /// Whether the batch has reached its flush capacity.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.branches.len() >= self.capacity
-    }
-
     /// Drops all events, keeping the allocations.
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.from.clear();
         self.to.clear();
         self.branches.clear();
@@ -90,11 +69,6 @@ impl DispatchBatch {
     /// Dispatching instances (the instance owning each dispatch branch).
     pub fn from_instances(&self) -> &[usize] {
         &self.from
-    }
-
-    /// Entered instances.
-    pub fn to_instances(&self) -> &[usize] {
-        &self.to
     }
 
     /// Dispatch branch addresses.
@@ -112,7 +86,8 @@ impl DispatchBatch {
         &self.mispredicted
     }
 
-    /// The batched events in execution order, row at a time.
+    /// The batched events in execution order, row at a time:
+    /// `(from, to, branch, target, mispredicted)`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, Addr, Addr, bool)> + '_ {
         (0..self.len()).map(|i| {
             (self.from[i], self.to[i], self.branches[i], self.targets[i], self.mispredicted[i])
@@ -122,33 +97,18 @@ impl DispatchBatch {
 
 /// Observes every simulated indirect dispatch with full context.
 ///
-/// `from` is the instance whose code owns the dispatch branch (for
-/// pre-dispatch stubs such as switch dispatch it equals `to`, the instance
-/// being entered), `branch`/`target` are the simulated native addresses fed
-/// to the predictor, and `mispredicted` is the predictor's verdict. An
-/// observer sees exactly the dispatches counted in
-/// [`ivm_cache::PerfCounters::dispatches`], in execution order —
+/// For each event, `from` is the instance whose code owns the dispatch
+/// branch (for pre-dispatch stubs such as switch dispatch it equals `to`,
+/// the instance being entered), `branch`/`target` are the simulated
+/// native addresses fed to the predictor, and `mispredicted` is the
+/// predictor's verdict. An observer sees exactly the dispatches counted
+/// in [`ivm_cache::PerfCounters::dispatches`], in execution order —
 /// attribution sinks (see the `ivm-obs` crate) build per-opcode and
 /// per-BTB-set breakdowns from this stream.
-///
-/// The engine delivers events in [`DispatchBatch`]es (one virtual call
-/// per up-to-[`DISPATCH_BATCH_CAPACITY`] events, flushed when full and at
-/// run end); the default [`DispatchObserver::dispatch_batch`] replays a
-/// batch through `dispatch` one event at a time, so an observer that only
-/// implements `dispatch` sees the exact per-event stream it always did —
-/// just no earlier than the enclosing flush.
 pub trait DispatchObserver {
-    /// Called once per executed indirect dispatch.
-    fn dispatch(&mut self, from: usize, to: usize, branch: Addr, target: Addr, mispredicted: bool);
-
-    /// Called once per flushed batch. Override to consume the
-    /// struct-of-arrays columns directly; the default forwards every
-    /// event to [`DispatchObserver::dispatch`] in execution order.
-    fn dispatch_batch(&mut self, batch: &DispatchBatch) {
-        for (from, to, branch, target, miss) in batch.iter() {
-            self.dispatch(from, to, branch, target, miss);
-        }
-    }
+    /// Called with each full batch of 1024 events as it fills, and with
+    /// the remainder when [`Measurement::finish`] ends the run.
+    fn dispatch_batch(&mut self, batch: &DispatchBatch);
 }
 
 /// A shareable [`DispatchObserver`] handle: the caller keeps one clone to
@@ -185,14 +145,13 @@ impl Engine {
             costs: cpu.costs,
             cpu_name: cpu.name.to_owned(),
             observer: None,
-            batch: DispatchBatch::new(DISPATCH_BATCH_CAPACITY),
+            batch: DispatchBatch::default(),
         }
     }
 
     /// An engine with explicit components (for experiments mixing
-    /// predictors and caches). Accepts any concrete in-tree predictor (or
-    /// an [`AnyPredictor`], or a `Box<dyn IndirectPredictor>` for
-    /// external ones) — in-tree predictors run enum-dispatched in the hot
+    /// predictors and caches). Accepts any in-tree predictor or an
+    /// [`AnyPredictor`]; either way it runs enum-dispatched in the hot
     /// loop, with no virtual call per dispatch.
     pub fn new(
         predictor: impl Into<AnyPredictor>,
@@ -206,54 +165,22 @@ impl Engine {
             costs,
             cpu_name: "custom".into(),
             observer: None,
-            batch: DispatchBatch::new(DISPATCH_BATCH_CAPACITY),
+            batch: DispatchBatch::default(),
         }
     }
 
-    /// The machine name this engine models.
-    pub fn cpu_name(&self) -> &str {
-        &self.cpu_name
-    }
-
-    /// Counters accumulated so far.
-    pub fn counters(&self) -> &PerfCounters {
-        &self.counters
-    }
-
-    /// The engine's cycle cost constants.
-    pub fn costs(&self) -> &CycleCosts {
-        &self.costs
-    }
-
     /// Attaches a [`DispatchObserver`]; keep a clone of the handle to read
-    /// the observer's state after the run. Events are delivered in
-    /// [`DispatchBatch`]es (flushed when full and by [`Runner::finish`]),
-    /// so the cost is one dynamic call per batch, not per dispatch; it is
-    /// off entirely by default.
+    /// the observer's state after [`Measurement::finish`]. Events are
+    /// delivered in [`DispatchBatch`]es, so the cost is one dynamic call
+    /// per batch, not per dispatch; it is off entirely by default.
     #[must_use]
     pub fn with_observer(mut self, observer: SharedObserver) -> Self {
         self.observer = Some(observer);
         self
     }
 
-    /// Overrides the observer batch capacity (default
-    /// [`DISPATCH_BATCH_CAPACITY`]). A capacity of 1 flushes every event
-    /// immediately — the old per-dispatch delivery, useful for
-    /// differential tests and observers that must see events live.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn with_batch_capacity(mut self, capacity: usize) -> Self {
-        self.batch = DispatchBatch::new(capacity);
-        self
-    }
-
-    /// Delivers any batched-but-unflushed dispatch events to the observer
-    /// now. [`Runner::finish`] calls this; call it directly only when
-    /// reading an observer mid-run.
-    pub fn flush_observer(&mut self) {
+    /// Delivers the batched dispatch events to the observer.
+    fn flush_observer(&mut self) {
         if self.batch.is_empty() {
             return;
         }
@@ -282,7 +209,7 @@ impl Engine {
         }
         if self.observer.is_some() {
             self.batch.push(from, to, branch, target, !hit);
-            if self.batch.is_full() {
+            if self.batch.len() == BATCH_CAPACITY {
                 self.flush_observer();
             }
         }
@@ -321,33 +248,54 @@ struct View {
     taken: Option<DispatchPoint>,
 }
 
-/// Drives an [`Engine`] from the control-transfer stream of an interpreter
-/// run over a [`Translation`].
+/// The standard measurement sink: drives an [`Engine`] from the
+/// control-transfer stream of an interpreter run over a [`Translation`].
+///
+/// Quickenings are deferred until the transfer *out of* the quickened
+/// instance has been accounted, so the first execution runs the slow code —
+/// matching the paper's quickening semantics.
 #[derive(Debug)]
-pub struct Runner {
+pub struct Measurement {
+    translation: Translation,
     engine: Engine,
     /// While `Some(u)`, execution is in non-replicated side-entry code up to
     /// and including instance `u`.
     side_until: Option<u32>,
+    pending: Vec<(usize, OpId)>,
 }
 
-impl Runner {
-    /// Wraps an engine.
-    pub fn new(engine: Engine) -> Self {
-        Self { engine, side_until: None }
+impl Measurement {
+    /// Couples a translation with the engine that simulates it.
+    pub fn new(translation: Translation, engine: Engine) -> Self {
+        Self { translation, engine, side_until: None, pending: Vec::new() }
     }
 
-    /// Read access to the engine.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
+    /// The translation being executed (reflecting quickenings so far).
+    pub fn translation(&self) -> &Translation {
+        &self.translation
+    }
+
+    /// Ends the run: delivers the last batch of dispatch events to the
+    /// observer and attributes the translation's generated code size.
+    pub fn finish(mut self) -> RunResult {
+        self.engine.flush_observer();
+        self.engine.counters.code_bytes = self.translation.code_bytes();
+        let cycles = self.engine.counters.cycles(&self.engine.costs);
+        RunResult {
+            cpu: self.engine.cpu_name,
+            technique: self.translation.technique(),
+            counters: self.engine.counters,
+            cycles,
+            icache_set_misses: self.engine.fetch.set_misses(),
+        }
     }
 
     fn in_side(&self, i: usize) -> bool {
         self.side_until.is_some_and(|u| i as u32 <= u)
     }
 
-    fn view(&self, t: &Translation, i: usize) -> View {
-        let slot = t.slot(i);
+    fn view(&self, i: usize) -> View {
+        let slot = self.translation.slot(i);
         match slot.alt {
             Some(AltCode { entry, work_instrs, fetch, fall, .. }) if self.in_side(i) => {
                 View { entry, work_instrs, fetch, fall: Some(fall), taken: Some(fall) }
@@ -362,10 +310,10 @@ impl Runner {
         }
     }
 
-    fn enter(&mut self, t: &Translation, i: usize) {
+    fn enter(&mut self, i: usize) {
         // Pre-dispatch stubs are not used on the side-entry path.
         if !self.in_side(i) {
-            if let Some(pre) = t.slot(i).pre {
+            if let Some(pre) = self.translation.slot(i).pre {
                 self.engine.retire(pre.instrs);
                 self.engine.fetch_code(pre.fetch.0, pre.fetch.1);
                 self.engine.counters.dispatches += 1;
@@ -374,23 +322,37 @@ impl Runner {
                 self.engine.indirect(i, i, pre.branch, pre.target);
             }
         }
-        let v = self.view(t, i);
+        let v = self.view(i);
         self.engine.retire(v.work_instrs);
         self.engine.fetch_code(v.fetch.0, v.fetch.1);
         if !self.in_side(i) {
-            let (addr, len) = t.slot(i).extra_fetch;
+            let (addr, len) = self.translation.slot(i).extra_fetch;
             self.engine.fetch_code(addr, len);
         }
     }
 
-    /// Starts (or restarts) execution at instance `entry`.
-    pub fn begin(&mut self, t: &Translation, entry: usize) {
-        self.side_until = None;
-        if t.slot(entry).alt.is_some() {
-            // Entering mid-superinstruction from outside: side path.
-            self.side_until = t.slot(entry).alt.map(|a| a.until);
+    fn apply_pending(&mut self, just_left: usize) {
+        if self.pending.is_empty() {
+            return;
         }
-        self.enter(t, entry);
+        let mut i = 0;
+        while i < self.pending.len() {
+            if self.pending[i].0 == just_left {
+                let (instance, op) = self.pending.swap_remove(i);
+                self.translation.quicken(instance, op);
+            } else {
+                i += 1;
+            }
+        }
+    }
+}
+
+impl VmEvents for Measurement {
+    /// Starts (or restarts) execution at instance `entry`.
+    fn begin(&mut self, entry: usize) {
+        // Entering mid-superinstruction from outside takes the side path.
+        self.side_until = self.translation.slot(entry).alt.map(|a| a.until);
+        self.enter(entry);
     }
 
     /// Records the control transfer `from → to`; `taken` distinguishes a
@@ -401,8 +363,8 @@ impl Runner {
     /// Panics if the translation has no dispatch for a taken transfer out of
     /// `from` — that indicates a translator bug or a VM reporting an
     /// impossible transfer.
-    pub fn transfer(&mut self, t: &Translation, from: usize, to: usize, taken: bool) {
-        let vf = self.view(t, from);
+    fn transfer(&mut self, from: usize, to: usize, taken: bool) {
+        let vf = self.view(from);
         let dp = if taken {
             Some(vf.taken.unwrap_or_else(|| {
                 panic!("instance {from} has no taken dispatch but VM took a branch")
@@ -413,39 +375,32 @@ impl Runner {
 
         // Update side-entry state before resolving the target's view.
         if taken {
-            self.side_until = t.slot(to).alt.map(|a| a.until);
+            self.side_until = self.translation.slot(to).alt.map(|a| a.until);
         } else if self.side_until.is_some_and(|u| to as u32 > u) {
             self.side_until = None;
         }
 
         if let Some(dp) = dp {
-            let target = self.view(t, to).entry;
+            let target = self.view(to).entry;
             self.engine.retire(dp.instrs);
             self.engine.fetch_code(dp.fetch.0, dp.fetch.1);
             self.engine.counters.dispatches += 1;
             self.engine.indirect(from, to, dp.branch, target);
         }
-        self.enter(t, to);
+        self.enter(to);
+        self.apply_pending(from);
     }
 
-    /// Finalises the run, attributing the translation's generated code size
-    /// and flushing any batched dispatch events to the observer.
-    pub fn finish(mut self, t: &Translation) -> RunResult {
-        self.engine.flush_observer();
-        self.engine.counters.code_bytes = t.code_bytes();
-        let cycles = self.engine.counters.cycles(&self.engine.costs);
-        RunResult {
-            cpu: self.engine.cpu_name,
-            technique: t.technique(),
-            counters: self.engine.counters,
-            cycles,
-            icache_set_misses: self.engine.fetch.set_misses(),
-        }
+    fn quicken(&mut self, instance: usize, quick_op: OpId) {
+        self.pending.push((instance, quick_op));
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
     use ivm_bpred::IdealBtb;
     use ivm_cache::PerfectIcache;
@@ -458,97 +413,55 @@ mod tests {
         )
     }
 
+    /// Every delivered event in order, plus the number of batches.
+    #[derive(Default)]
+    struct Log {
+        events: Vec<(usize, usize, Addr, Addr, bool)>,
+        batches: usize,
+    }
+
+    impl DispatchObserver for Log {
+        fn dispatch_batch(&mut self, batch: &DispatchBatch) {
+            self.batches += 1;
+            self.events.extend(batch.iter());
+        }
+    }
+
     #[test]
     fn observer_sees_every_dispatch_with_verdict() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        #[derive(Default)]
-        struct Log(Vec<(usize, usize, Addr, Addr, bool)>);
-        impl DispatchObserver for Log {
-            fn dispatch(&mut self, f: usize, t: usize, b: Addr, tg: Addr, m: bool) {
-                self.0.push((f, t, b, tg, m));
-            }
-        }
-
         let log = Rc::new(RefCell::new(Log::default()));
         let mut e = engine().with_observer(log.clone());
         e.indirect(0, 1, 100, 7); // cold: miss
         e.indirect(0, 1, 100, 7); // warm, monomorphic: hit
         e.indirect(0, 2, 100, 8); // target changed: miss
-        assert!(log.borrow().0.is_empty(), "events stay batched until a flush");
+        assert!(log.borrow().events.is_empty(), "events stay batched until a flush");
         e.flush_observer();
         let seen = log.borrow();
-        assert_eq!(seen.0, vec![(0, 1, 100, 7, true), (0, 1, 100, 7, false), (0, 2, 100, 8, true)]);
-        assert_eq!(e.counters().indirect_mispredicted, 2, "counters agree with observer");
+        assert_eq!(
+            seen.events,
+            vec![(0, 1, 100, 7, true), (0, 1, 100, 7, false), (0, 2, 100, 8, true)]
+        );
+        assert_eq!(e.counters.indirect_mispredicted, 2, "counters agree with observer");
+        assert!(format!("{e:?}").contains("custom"), "Debug names the machine");
     }
 
     #[test]
     fn full_batches_flush_automatically_and_preserve_order() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        #[derive(Default)]
-        struct Log {
-            events: Vec<(usize, usize, Addr, Addr, bool)>,
-            batches: usize,
-        }
-        impl DispatchObserver for Log {
-            fn dispatch(&mut self, f: usize, t: usize, b: Addr, tg: Addr, m: bool) {
-                self.events.push((f, t, b, tg, m));
-            }
-            fn dispatch_batch(&mut self, batch: &DispatchBatch) {
-                self.batches += 1;
-                for (f, t, b, tg, m) in batch.iter() {
-                    self.dispatch(f, t, b, tg, m);
-                }
-            }
-        }
-
         let log = Rc::new(RefCell::new(Log::default()));
-        let mut e = engine().with_batch_capacity(4).with_observer(log.clone());
-        for i in 0..10u64 {
-            e.indirect(i as usize, 0, 50 + i, 7);
+        let mut e = engine().with_observer(log.clone());
+        let n = 2 * BATCH_CAPACITY + 2;
+        for i in 0..n {
+            e.indirect(i, 0, 50 + i as u64, 7);
         }
-        assert_eq!(log.borrow().batches, 2, "two full batches of 4 flushed mid-run");
-        assert_eq!(log.borrow().events.len(), 8);
+        assert_eq!(log.borrow().batches, 2, "two full batches flushed mid-run");
+        assert_eq!(log.borrow().events.len(), 2 * BATCH_CAPACITY);
         e.flush_observer();
-        assert_eq!(log.borrow().batches, 3, "the 2-event remainder flushed on demand");
+        assert_eq!(log.borrow().batches, 3, "the 2-event remainder flushed at the end");
         let seen = &log.borrow().events;
-        assert_eq!(seen.len(), 10);
+        assert_eq!(seen.len(), n);
         for (i, &(f, _, b, _, m)) in seen.iter().enumerate() {
             assert_eq!((f, b), (i, 50 + i as u64), "event {i} out of order");
             assert!(m, "distinct cold branches all mispredict");
         }
-    }
-
-    #[test]
-    fn batch_capacity_one_delivers_per_dispatch() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        #[derive(Default)]
-        struct Count(usize);
-        impl DispatchObserver for Count {
-            fn dispatch(&mut self, _: usize, _: usize, _: Addr, _: Addr, _: bool) {
-                self.0 += 1;
-            }
-        }
-
-        let log = Rc::new(RefCell::new(Count::default()));
-        let mut e = engine().with_batch_capacity(1).with_observer(log.clone());
-        e.indirect(0, 1, 100, 7);
-        assert_eq!(log.borrow().0, 1, "capacity 1 flushes every event immediately");
-        e.indirect(0, 1, 100, 7);
-        assert_eq!(log.borrow().0, 2);
-    }
-
-    #[test]
-    fn engine_debug_and_accessors() {
-        let e = engine();
-        assert_eq!(e.cpu_name(), "custom");
-        assert_eq!(e.counters().instructions, 0);
-        assert!(format!("{e:?}").contains("Engine"));
-        assert!((e.costs().cpi - 1.0).abs() < 1e-12);
     }
 }

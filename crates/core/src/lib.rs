@@ -13,7 +13,7 @@
 //!    variants (paper §5). Static techniques train on a [`Profile`].
 //! 3. The VM interprets the program for real, reporting control transfers
 //!    and quickenings through [`VmEvents`]; a [`Measurement`] couples the
-//!    translation with a [`Runner`] over simulated hardware
+//!    translation with an [`Engine`] over simulated hardware
 //!    ([`ivm_cache::CpuSpec`]) and accumulates the paper's performance
 //!    counters.
 //!
@@ -21,7 +21,7 @@
 //!
 //! ```
 //! use ivm_core::{
-//!     translate, Engine, Measurement, ProgramCode, Runner, SuperSelection,
+//!     translate, Engine, Measurement, ProgramCode, SuperSelection,
 //!     Technique, VmEvents, VmSpec, NativeSpec, InstKind,
 //! };
 //! use ivm_cache::CpuSpec;
@@ -38,8 +38,7 @@
 //!
 //! // Translate for plain threaded code and "execute" 10 iterations.
 //! let t = translate(&spec, &program, Technique::Threaded, None, SuperSelection::gforth());
-//! let runner = Runner::new(Engine::for_cpu(&CpuSpec::celeron800()));
-//! let mut m = Measurement::new(t, runner);
+//! let mut m = Measurement::new(t, Engine::for_cpu(&CpuSpec::celeron800()));
 //! m.begin(0);
 //! for _ in 0..10 {
 //!     m.transfer(0, 1, false);
@@ -76,11 +75,8 @@ pub use dtrace::{
     dispatch_spec_hash, simulate_many, DispatchTrace, DtraceError, IntervalBbv, IntervalIndex,
     SpecHasher, DTRACE_MAGIC, DTRACE_VERSION,
 };
-pub use engine::{
-    DispatchBatch, DispatchObserver, Engine, RunResult, Runner, SharedObserver,
-    DISPATCH_BATCH_CAPACITY,
-};
-pub use events::{Measurement, NullEvents, VmEvents};
+pub use engine::{DispatchBatch, DispatchObserver, Engine, Measurement, RunResult, SharedObserver};
+pub use events::{NullEvents, VmEvents};
 pub use guest::{GuestVm, VmError, VmOutput};
 pub use layout::{CodeSpace, Routine, RoutineTable, DYNAMIC_BASE, STATIC_BASE};
 pub use measure::{measure, measure_trace, measure_trace_with, measure_with, profile, record};

@@ -14,8 +14,7 @@
 use ivm_cache::CpuSpec;
 use ivm_harness::span;
 
-use crate::engine::{Engine, RunResult, Runner};
-use crate::events::Measurement;
+use crate::engine::{Engine, Measurement, RunResult};
 use crate::guest::{GuestVm, VmError, VmOutput};
 use crate::profile::{Profile, ProfileCollector};
 use crate::technique::Technique;
@@ -83,7 +82,7 @@ pub fn measure_with<G: GuestVm + ?Sized>(
         let _span = span::enter("translate");
         translate(vm.spec(), vm.program(), technique, training, vm.super_selection())
     };
-    let mut measurement = Measurement::new(translation, Runner::new(engine));
+    let mut measurement = Measurement::new(translation, engine);
     let output = {
         let _span = span::enter("execute");
         vm.execute(&mut measurement, vm.default_fuel())?
@@ -139,7 +138,7 @@ pub fn measure_trace_with<G: GuestVm + ?Sized>(
         let _span = span::enter("translate");
         translate(vm.spec(), vm.program(), technique, training, vm.super_selection())
     };
-    let mut measurement = Measurement::new(translation, Runner::new(engine));
+    let mut measurement = Measurement::new(translation, engine);
     {
         let _span = span::enter("simulate");
         trace.replay(&mut measurement);

@@ -24,7 +24,7 @@ use crate::technique::{CoverAlgorithm, ReplicaSelection, Technique};
 /// A fully translated program: the code layout for one interpreter variant.
 ///
 /// Build one with [`translate`]; execute it by feeding control transfers to
-/// a [`crate::Runner`] (usually via [`crate::Measurement`]).
+/// a [`crate::Measurement`].
 pub struct Translation {
     technique: Technique,
     slots: Vec<SlotCode>,

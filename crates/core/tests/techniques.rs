@@ -8,7 +8,7 @@ use ivm_bpred::{Btb, BtbConfig, IdealBtb};
 use ivm_cache::{CycleCosts, PerfectIcache};
 use ivm_core::{
     translate, CoverAlgorithm, Engine, InstKind, Measurement, NativeSpec, Profile,
-    ProfileCollector, ProgramCode, ReplicaSelection, RunResult, Runner, SuperSelection, Technique,
+    ProfileCollector, ProgramCode, ReplicaSelection, RunResult, SuperSelection, Technique,
     VmEvents, VmSpec,
 };
 
@@ -70,7 +70,7 @@ fn run(m: &Mini, program: &ProgramCode, tech: Technique, profile: &Profile) -> R
         Box::new(PerfectIcache::default()),
         CycleCosts { cpi: 1.0, mispredict_penalty: 10.0, icache_miss_penalty: 27.0 },
     );
-    let mut meas = Measurement::new(t, Runner::new(engine));
+    let mut meas = Measurement::new(t, engine);
     drive(&mut meas, 100);
     meas.finish()
 }
@@ -285,7 +285,7 @@ fn finite_btb_shows_conflicts_under_replication() {
         Box::new(PerfectIcache::default()),
         CycleCosts { cpi: 1.0, mispredict_penalty: 10.0, icache_miss_penalty: 27.0 },
     );
-    let mut meas = Measurement::new(t, Runner::new(tiny));
+    let mut meas = Measurement::new(t, tiny);
     drive(&mut meas, 100);
     let small = meas.finish();
 
@@ -295,7 +295,7 @@ fn finite_btb_shows_conflicts_under_replication() {
         Box::new(PerfectIcache::default()),
         CycleCosts { cpi: 1.0, mispredict_penalty: 10.0, icache_miss_penalty: 27.0 },
     );
-    let mut meas = Measurement::new(t, Runner::new(big));
+    let mut meas = Measurement::new(t, big);
     drive(&mut meas, 100);
     let ideal = meas.finish();
     assert!(small.counters.indirect_mispredicted > ideal.counters.indirect_mispredicted * 4);

@@ -48,6 +48,10 @@ fn err<T>(message: impl Into<String>) -> Result<T, CompileError> {
     Err(CompileError { message: message.into() })
 }
 
+/// Data-space cells a program may allocate (cell 0, the null address,
+/// included): 8 MiB of memory, far above the bundled programs' needs.
+const MAX_DATA_CELLS: i64 = 1 << 20;
+
 #[derive(Debug, Clone, Copy)]
 enum Dict {
     /// A user word: callable instance index.
@@ -92,7 +96,7 @@ struct Compiler<'s> {
 /// # Errors
 ///
 /// Returns a [`CompileError`] for unknown words, unbalanced control
-/// structures, or a missing `main`.
+/// structures, a missing `main`, or data allocations past 2^20 cells.
 ///
 /// # Examples
 ///
@@ -133,7 +137,7 @@ pub fn compile(source: &str) -> Result<Image, CompileError> {
         program,
         operands: c.operands,
         entry: 0,
-        memory_cells: usize::try_from(c.here).expect("positive") + 1,
+        memory_cells: usize::try_from(c.here).expect("`reserve` keeps `here` positive") + 1,
     })
 }
 
@@ -200,6 +204,19 @@ impl Compiler<'_> {
         self.program.len() as u32
     }
 
+    /// Allocates `cells` cells of data space, returning the first one's
+    /// address.
+    fn reserve(&mut self, cells: i64) -> Result<i64, CompileError> {
+        let addr = self.here;
+        match addr.checked_add(cells) {
+            Some(end) if end < MAX_DATA_CELLS => {
+                self.here = end;
+                Ok(addr)
+            }
+            _ => err(format!("data space exceeds {MAX_DATA_CELLS} cells")),
+        }
+    }
+
     fn compile_all(&mut self) -> Result<(), CompileError> {
         while let Some(tok) = self.next() {
             if self.current_word.is_some() {
@@ -225,8 +242,7 @@ impl Compiler<'_> {
             }
             "variable" => {
                 let name = self.next_name("variable")?;
-                let addr = self.here;
-                self.here += 1;
+                let addr = self.reserve(1)?;
                 self.dict.insert(name, Dict::Variable(addr));
                 Ok(())
             }
@@ -247,10 +263,7 @@ impl Compiler<'_> {
                 }
             }
             "allot" => match self.data_stack.pop() {
-                Some(n) if n >= 0 => {
-                    self.here += n;
-                    Ok(())
-                }
+                Some(n) if n >= 0 => self.reserve(n).map(drop),
                 _ => err("allot needs a non-negative compile-time value"),
             },
             "cells" => match self.data_stack.pop() {
@@ -265,7 +278,7 @@ impl Compiler<'_> {
                     (Some(b), Some(a)) => (b, a),
                     _ => return err("compile-time * needs two values"),
                 };
-                self.data_stack.push(a * b);
+                self.data_stack.push(a.wrapping_mul(b)); // like the VM's `*`
                 Ok(())
             }
             _ => {

@@ -341,7 +341,7 @@ pub fn run(image: &Image, events: &mut dyn VmEvents, fuel: u64) -> Result<VmOutp
         } else if op == o.loop_ {
             match loops.last_mut() {
                 Some((index, limit)) => {
-                    *index += 1;
+                    *index = index.wrapping_add(1);
                     if *index < *limit {
                         Flow::Taken(target.expect("loop has a target"))
                     } else {

@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use ivm_bpred::{Addr, BtbConfig, IndirectPredictor};
-use ivm_core::{DispatchObserver, Translation};
+use ivm_core::{DispatchBatch, DispatchObserver, Translation};
 
 use crate::json::Json;
 use crate::ring::DispatchRing;
@@ -177,18 +177,6 @@ impl DispatchAttribution {
         Rc::new(RefCell::new(self))
     }
 
-    /// Zeroes all tallies and the ring, keeping configuration — call after
-    /// a warmup pass to measure steady state only.
-    pub fn clear_counts(&mut self) {
-        self.per_instance.clear();
-        if let Some(sets) = &mut self.sets {
-            sets.clear_counts();
-        }
-        if let Some(ring) = &mut self.ring {
-            ring.clear();
-        }
-    }
-
     /// Per-instance tallies, indexed by instance. Instances never
     /// dispatched from report zeros.
     pub fn per_instance(&self) -> &[Tally] {
@@ -276,24 +264,10 @@ impl DispatchAttribution {
 }
 
 impl DispatchObserver for DispatchAttribution {
-    fn dispatch(&mut self, from: usize, to: usize, branch: Addr, target: Addr, miss: bool) {
-        if from >= self.per_instance.len() {
-            self.per_instance.resize(from + 1, Tally::default());
-        }
-        self.per_instance[from].bump(miss);
-        if let Some(sets) = &mut self.sets {
-            sets.record(branch, miss);
-        }
-        if let Some(ring) = &mut self.ring {
-            ring.record(from, to, branch, target, miss);
-        }
-    }
-
-    fn dispatch_batch(&mut self, batch: &ivm_core::DispatchBatch) {
-        // Batch-native path: grow the per-instance table once for the
-        // whole batch, then tally straight out of the columnar arrays.
-        // Event order inside a batch matches dispatch order, so the ring
-        // and set views see exactly what per-event delivery produced.
+    fn dispatch_batch(&mut self, batch: &DispatchBatch) {
+        // Grow the per-instance table once for the whole batch, then tally
+        // straight out of the columnar arrays. Event order inside a batch
+        // is dispatch order, which the ring and set views rely on.
         let max_from = batch.from_instances().iter().copied().max();
         if let Some(max_from) = max_from {
             if max_from >= self.per_instance.len() {
@@ -428,9 +402,11 @@ mod tests {
     use ivm_bpred::IdealBtb;
 
     fn feed(sink: &mut DispatchAttribution, events: &[(usize, usize, Addr, Addr, bool)]) {
+        let mut batch = DispatchBatch::default();
         for &(f, t, b, tg, m) in events {
-            sink.dispatch(f, t, b, tg, m);
+            batch.push(f, t, b, tg, m);
         }
+        sink.dispatch_batch(&batch);
     }
 
     #[test]
@@ -484,21 +460,6 @@ mod tests {
         assert_eq!(set0.tally, Tally { executed: 3, mispredicted: 3 });
         let set1 = &conflicts[1];
         assert_eq!((set1.set, set1.distinct_branches), (1, 1));
-    }
-
-    #[test]
-    fn clear_counts_keeps_configuration() {
-        let cfg = BtbConfig::new(4, 1);
-        let mut sink = DispatchAttribution::new().with_btb_sets(cfg).with_ring(8);
-        feed(&mut sink, &[(0, 1, 0, 10, true)]);
-        sink.clear_counts();
-        assert!(sink.per_instance().is_empty());
-        assert!(sink.set_conflicts().is_empty());
-        assert_eq!(sink.ring().unwrap().total_recorded(), 0);
-        // Still wired up: new events land in the (kept) structures.
-        feed(&mut sink, &[(0, 1, 0, 10, false)]);
-        assert_eq!(sink.set_conflicts().len(), 1);
-        assert_eq!(sink.ring().unwrap().len(), 1);
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! End-to-end attribution checks against the paper's hand traces.
 //!
 //! Table I's example program (`A B A GOTO` in a loop) is run through the
-//! real translator + engine with a [`DispatchAttribution`] observer
-//! attached, and the per-instance / per-opcode misprediction split must
-//! come out exactly as the paper's table says: under threaded dispatch the
+//! real translator + engine, its steady-state dispatches are fed to a
+//! [`DispatchAttribution`], and the per-instance / per-opcode
+//! misprediction split must come out exactly as the paper's table says: under threaded dispatch the
 //! shared routine branch of `A` takes both mispredictions, under switch
 //! dispatch every instance takes one. Table III's bad-replication example
 //! is replayed at the predictor level through [`AttributedPredictor`].
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use ivm_bpred::{BtbConfig, IdealBtb, IndirectPredictor};
 use ivm_cache::{CycleCosts, PerfectIcache};
 use ivm_core::{
-    translate, Engine, InstKind, Measurement, NativeSpec, ProgramCode, Runner, SuperSelection,
-    Technique, VmEvents, VmSpec,
+    translate, DispatchBatch, DispatchObserver, Engine, InstKind, Measurement, NativeSpec,
+    ProgramCode, SuperSelection, Technique, VmEvents, VmSpec,
 };
 use ivm_obs::{AttributedPredictor, DispatchAttribution};
 
@@ -38,44 +41,66 @@ fn table1_program(spec: &VmSpec) -> ProgramCode {
     p.finish(spec)
 }
 
-/// Runs the Table I loop under `technique` with an attribution observer:
-/// one warm-up iteration, then exactly one attributed steady-state
-/// iteration.
-fn steady_state_attribution(
-    technique: Technique,
-) -> (DispatchAttribution, Vec<(String, u64, u64)>) {
+/// One dispatch event as the engine reports it:
+/// `(from, to, branch, target, mispredicted)`.
+type Event = (usize, usize, u64, u64, bool);
+
+/// Records every dispatch the engine delivers, in execution order.
+#[derive(Default)]
+struct Recorder(Vec<Event>);
+
+impl DispatchObserver for Recorder {
+    fn dispatch_batch(&mut self, batch: &DispatchBatch) {
+        self.0.extend(batch.iter());
+    }
+}
+
+/// Every dispatch of `iterations` passes through the Table I loop under
+/// `technique`.
+fn dispatches(technique: Technique, iterations: usize) -> Vec<Event> {
     let spec = table1_spec();
     let program = table1_program(&spec);
     let translation = translate(&spec, &program, technique, None, SuperSelection::gforth());
-    let sink = DispatchAttribution::new().with_btb_sets(BtbConfig::celeron()).shared();
-    // This test snapshots and clears the observer *mid-run* (after the
-    // warm-up iteration), so it opts out of event batching: capacity 1
-    // delivers every dispatch to the sink immediately.
+    let recorder = Rc::new(RefCell::new(Recorder::default()));
     let engine =
         Engine::new(IdealBtb::new(), Box::new(PerfectIcache::default()), CycleCosts::celeron())
-            .with_batch_capacity(1)
-            .with_observer(sink.clone());
-    let mut m = Measurement::new(translation, Runner::new(engine));
-
+            .with_observer(recorder.clone());
+    let mut m = Measurement::new(translation, engine);
     m.begin(0);
     let iteration = [(0, 1, false), (1, 2, false), (2, 3, false), (3, 0, true)];
-    // Warm-up: the paper's tables assume the loop already ran once.
-    for &(from, to, taken) in &iteration {
-        m.transfer(from, to, taken);
+    for _ in 0..iterations {
+        for &(from, to, taken) in &iteration {
+            m.transfer(from, to, taken);
+        }
     }
-    sink.borrow_mut().clear_counts();
-    for &(from, to, taken) in &iteration {
-        m.transfer(from, to, taken);
-    }
+    m.finish();
+    recorder.take().0
+}
 
+/// Attributes one steady-state iteration of the Table I loop under
+/// `technique`: the paper's tables assume the loop already ran once, so
+/// the iteration is what a 2-iteration run dispatches after the
+/// dispatches of a 1-iteration run.
+fn steady_state_attribution(
+    technique: Technique,
+) -> (DispatchAttribution, Vec<(String, u64, u64)>) {
+    let warm_up = dispatches(technique, 1).len();
+    let mut batch = DispatchBatch::default();
+    for &(from, to, branch, target, miss) in &dispatches(technique, 2)[warm_up..] {
+        batch.push(from, to, branch, target, miss);
+    }
+    let mut sink = DispatchAttribution::new().with_btb_sets(BtbConfig::celeron());
+    sink.dispatch_batch(&batch);
+
+    let spec = table1_spec();
+    let translation =
+        translate(&spec, &table1_program(&spec), technique, None, SuperSelection::gforth());
     let per_opcode = sink
-        .borrow()
-        .per_opcode(m.translation())
+        .per_opcode(&translation)
         .into_iter()
         .map(|o| (o.name, o.tally.executed, o.tally.mispredicted))
         .collect();
-    let attribution = sink.borrow().clone();
-    (attribution, per_opcode)
+    (sink, per_opcode)
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example btb_explorer -- [benchmark]`
 
 use ivm::bpred::{
-    Btb, BtbConfig, IdealBtb, IndirectPredictor, TwoBitBtb, TwoLevelConfig, TwoLevelPredictor,
+    AnyPredictor, Btb, BtbConfig, IdealBtb, TwoBitBtb, TwoLevelConfig, TwoLevelPredictor,
 };
 use ivm::cache::{CpuSpec, PerfectIcache};
 use ivm::core::{Engine, Technique};
@@ -16,13 +16,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let training = ivm::core::profile(&ivm::forth::programs::BRAINLESS.image())?;
     let cpu = CpuSpec::celeron800();
 
-    type Make = fn() -> Box<dyn IndirectPredictor>;
+    type Make = fn() -> AnyPredictor;
     let predictors: [(&str, Make); 5] = [
-        ("ideal BTB", || Box::new(IdealBtb::new())),
-        ("BTB 512x4", || Box::new(Btb::new(BtbConfig::celeron()))),
-        ("BTB 4096x4", || Box::new(Btb::new(BtbConfig::pentium4()))),
-        ("BTB + 2-bit counters", || Box::new(TwoBitBtb::new())),
-        ("two-level (Pentium M)", || Box::new(TwoLevelPredictor::new(TwoLevelConfig::pentium_m()))),
+        ("ideal BTB", || IdealBtb::new().into()),
+        ("BTB 512x4", || Btb::new(BtbConfig::celeron()).into()),
+        ("BTB 4096x4", || Btb::new(BtbConfig::pentium4()).into()),
+        ("BTB + 2-bit counters", || TwoBitBtb::new().into()),
+        ("two-level (Pentium M)", || TwoLevelPredictor::new(TwoLevelConfig::pentium_m()).into()),
     ];
 
     println!("Benchmark: {name} (Celeron cost model, perfect I-cache)");

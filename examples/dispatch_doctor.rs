@@ -10,7 +10,7 @@
 //! (technique defaults to `plain`; any paper name parses, e.g. "across bb")
 
 use ivm::cache::CpuSpec;
-use ivm::core::{translate, Engine, Measurement, Runner, SuperSelection, Technique};
+use ivm::core::{translate, Engine, Measurement, SuperSelection, Technique};
 use ivm::forth;
 use ivm::obs::DispatchAttribution;
 
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let attribution = DispatchAttribution::new().shared();
     let engine = Engine::for_cpu(&cpu).with_observer(attribution.clone());
-    let mut m = Measurement::new(translation, Runner::new(engine));
+    let mut m = Measurement::new(translation, engine);
     forth::run(&image, &mut m, forth::DEFAULT_FUEL)?;
     // Resolve instances to words before `finish` consumes the translation;
     // `finish` flushes the last batch of dispatches into the attribution.

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the whole stack (predictor + cache +
 //! translator + VM) glued together the way the paper's experiments are.
 
-use ivm::bpred::{Btb, BtbConfig, IdealBtb, TwoLevelConfig, TwoLevelPredictor};
+use ivm::bpred::{AnyPredictor, Btb, BtbConfig, IdealBtb, TwoLevelConfig, TwoLevelPredictor};
 use ivm::cache::{CpuSpec, CycleCosts, PerfectIcache};
 use ivm::core::{Engine, Technique};
 use ivm::forth;
@@ -53,10 +53,10 @@ fn two_level_predictor_shrinks_the_gap() {
 
     let run = |tech, two_level: bool| {
         let image = straightline();
-        let pred: Box<dyn ivm::bpred::IndirectPredictor> = if two_level {
-            Box::new(TwoLevelPredictor::new(TwoLevelConfig::pentium_m()))
+        let pred: AnyPredictor = if two_level {
+            TwoLevelPredictor::new(TwoLevelConfig::pentium_m()).into()
         } else {
-            Box::new(Btb::new(BtbConfig::celeron()))
+            Btb::new(BtbConfig::celeron()).into()
         };
         let engine = Engine::new(pred, Box::new(PerfectIcache::default()), costs);
         ivm::core::measure_with(&image, tech, engine, Some(&profile)).expect("runs").0
@@ -134,15 +134,15 @@ fn predictor_choice_only_affects_prediction_counters() {
     let profile = ivm::core::profile(&image).expect("profiles");
     let costs = CycleCosts::celeron();
 
-    let with_pred = |pred: Box<dyn ivm::bpred::IndirectPredictor>| {
+    let with_pred = |pred: AnyPredictor| {
         let image = forth_image();
         let engine = Engine::new(pred, Box::new(PerfectIcache::default()), costs);
         ivm::core::measure_with(&image, Technique::AcrossBb, engine, Some(&profile))
             .expect("runs")
             .0
     };
-    let a = with_pred(Box::new(IdealBtb::new()));
-    let b = with_pred(Box::new(Btb::new(BtbConfig::new(16, 1).tagless())));
+    let a = with_pred(IdealBtb::new().into());
+    let b = with_pred(Btb::new(BtbConfig::new(16, 1).tagless()).into());
     assert_eq!(a.counters.instructions, b.counters.instructions);
     assert_eq!(a.counters.dispatches, b.counters.dispatches);
     assert_eq!(a.counters.code_bytes, b.counters.code_bytes);

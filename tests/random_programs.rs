@@ -13,7 +13,7 @@ use ivm_bpred::IdealBtb;
 use ivm_cache::{CycleCosts, PerfectIcache};
 use ivm_core::{
     translate, CoverAlgorithm, Engine, InstKind, Measurement, NativeSpec, OpId, Profile,
-    ProfileCollector, ProgramCode, ReplicaSelection, RunResult, Runner, SuperSelection, Technique,
+    ProfileCollector, ProgramCode, ReplicaSelection, RunResult, SuperSelection, Technique,
     VmEvents, VmSpec,
 };
 
@@ -235,7 +235,7 @@ fn run_technique(
         Box::new(PerfectIcache::default()),
         CycleCosts { cpi: 1.0, mispredict_penalty: 10.0, icache_miss_penalty: 27.0 },
     );
-    let mut m = Measurement::new(t, Runner::new(engine));
+    let mut m = Measurement::new(t, engine);
     walk(vm, program, decisions, &mut m);
     m.finish()
 }
