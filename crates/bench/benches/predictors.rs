@@ -4,7 +4,7 @@ use ivm_bpred::{
     AnyPredictor, Btb, BtbConfig, IdealBtb, IndirectPredictor, Ittage, IttageConfig, PathHybrid,
     PathHybridConfig, TwoBitBtb, TwoLevelConfig, TwoLevelPredictor,
 };
-use ivm_cache::{FetchCache, Icache, IcacheConfig, TraceCache};
+use ivm_cache::{FetchCache, Icache, IcacheConfig};
 use ivm_core::{simulate_many, DispatchTrace};
 use ivm_harness::Bencher;
 
@@ -57,7 +57,7 @@ fn bench_caches(b: &mut Bencher) {
         });
     };
     run("celeron-l1i", &mut Icache::new(IcacheConfig::celeron_l1i()));
-    run("p4-trace-cache", &mut TraceCache::pentium4());
+    run("p4-trace-cache", &mut Icache::new(IcacheConfig::pentium4_trace()));
 }
 
 /// The predictor configurations a sweep evaluates together.

@@ -14,7 +14,7 @@
 use ivm_bench::{frontends, run_cells, speedup_rows, Cell, Frontend, Report, Row};
 use ivm_bpred::BtbConfig;
 use ivm_cache::CpuSpec;
-use ivm_core::{Engine, Measurement, RunResult, Technique};
+use ivm_core::{RunResult, Technique};
 use ivm_obs::{DispatchAttribution, Json};
 
 /// Measures one frontend's grid and prints its speedup table. Returns
@@ -48,21 +48,8 @@ fn frontend_tables(out: &mut Report, fe: &'static Frontend, cpu: &CpuSpec) -> Ve
 fn attribution(fe: &'static Frontend, tech: Technique, cpu: &CpuSpec) -> Json {
     let name = fe.benches()[0].name;
     let training = fe.training_for(name);
-    let sink = DispatchAttribution::new().with_btb_sets(BtbConfig::celeron()).shared();
-    let image = fe.image(name);
-    let translation = ivm_core::translate(
-        image.spec(),
-        image.program(),
-        tech,
-        Some(&training),
-        image.super_selection(),
-    );
-    let engine = Engine::for_cpu(cpu).with_observer(sink.clone());
-    let mut m = Measurement::new(translation, engine);
-    image
-        .execute(&mut m, image.default_fuel())
-        .unwrap_or_else(|e| panic!("{}/{name}/{tech}: {e}", fe.name));
-    let breakdown = sink.borrow().to_json(Some(m.translation()));
+    let sink = DispatchAttribution::new().with_btb_sets(BtbConfig::celeron());
+    let (_, _, breakdown) = fe.attributed_run(name, tech, cpu, &training, sink);
     Json::obj()
         .with("frontend", fe.name)
         .with("benchmark", name)

@@ -81,11 +81,8 @@ fn prediction_only(out: &mut Report) {
         let profile = ivm_core::profile(&image).expect("profiles");
         let mut values = vec![image.program.len() as f64];
         for tech in [Technique::Threaded, static_repl(), Technique::DynamicRepl] {
-            let engine = Engine::new(
-                Btb::new(BtbConfig::pentium4()),
-                Box::new(PerfectIcache::default()),
-                cpu.costs,
-            );
+            let engine =
+                Engine::new(Btb::new(BtbConfig::pentium4()), Box::new(PerfectIcache), cpu.costs);
             let (r, _) = ivm_core::measure_with(&image, tech, engine, Some(&profile))
                 .unwrap_or_else(|e| panic!("{tech}: {e}"));
             values.push(100.0 * r.counters.misprediction_rate());

@@ -19,7 +19,7 @@
 use ivm_bench::{frontend, run_cells, Cell, Frontend, Report, Row};
 use ivm_bpred::BtbConfig;
 use ivm_cache::CpuSpec;
-use ivm_core::{Engine, Measurement, Profile, Technique};
+use ivm_core::{Profile, Technique};
 use ivm_obs::{DispatchAttribution, Json};
 
 /// Re-runs a benchmark under `tech` with an attribution observer attached
@@ -33,21 +33,8 @@ fn attribution_for(
     cpu: &CpuSpec,
     training: &Profile,
 ) -> Json {
-    let sink =
-        DispatchAttribution::new().with_btb_sets(BtbConfig::celeron()).with_ring(256).shared();
-    let image = fe.image(name);
-    let translation = ivm_core::translate(
-        image.spec(),
-        image.program(),
-        tech,
-        Some(training),
-        image.super_selection(),
-    );
-    let engine = Engine::for_cpu(cpu).with_observer(sink.clone());
-    let mut m = Measurement::new(translation, engine);
-    image.execute(&mut m, image.default_fuel()).unwrap_or_else(|e| panic!("{name}/{tech}: {e}"));
-    let attrib = sink.borrow();
-    let breakdown = attrib.to_json(Some(m.translation()));
+    let sink = DispatchAttribution::new().with_btb_sets(BtbConfig::celeron()).with_ring(256);
+    let (_, attrib, breakdown) = fe.attributed_run(name, tech, cpu, training, sink);
     if let Some(ring) = attrib.ring() {
         let slug = tech.paper_name().replace([' ', '/'], "_");
         let path = ivm_obs::results_json_dir().join(format!("section3_{slug}.trace.jsonl"));

@@ -21,11 +21,10 @@
 //! Every suite/grid helper routes its independent experiment cells
 //! through [`run_cells`], which shards them across `IVM_JOBS` worker
 //! threads (default: available parallelism; `IVM_JOBS=1` is fully
-//! serial). Results are merged in canonical cell order and each cell's
-//! RNG stream is keyed to its stable id, so stdout and the JSON reports
-//! are byte-identical at any job count. Executor wall-time metadata is
-//! accumulated process-wide and attached to the report manifest by
-//! [`Report::finish`].
+//! serial). Results are merged in canonical cell order, so stdout and
+//! the JSON reports are byte-identical at any job count. Executor
+//! wall-time metadata is accumulated process-wide and attached to the
+//! report manifest by [`Report::finish`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,11 +39,12 @@ pub use pipeline::SamplingPlan;
 pub use report::{json_enabled, Report};
 pub use tracestore::{predictor_registry, trace_meta, trace_store, StoredTrace, TraceStore};
 
+use std::rc::Rc;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use ivm_cache::CpuSpec;
-use ivm_core::{GuestVm, Memo, Profile, RunResult, Technique};
-use ivm_obs::{CellWall, ExecutorMeta};
+use ivm_core::{Engine, GuestVm, Measurement, Memo, Profile, RunResult, Technique};
+use ivm_obs::{CellWall, DispatchAttribution, ExecutorMeta, Json};
 
 /// A labelled results row.
 #[derive(Debug, Clone)]
@@ -373,6 +373,48 @@ impl Frontend {
             .zip(results.chunks(benches.len()).map(<[RunResult]>::to_vec))
             .collect()
     }
+
+    /// Runs benchmark `name` under `technique` on `cpu` with `sink`
+    /// observing the engine, and returns the run's result, the sink and
+    /// the sink's JSON breakdown with its per-opcode view. The sink is
+    /// read after `Measurement::finish` has delivered the last batch of
+    /// dispatches, so its total equals the run's dispatch count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bundled benchmark fails at runtime.
+    pub fn attributed_run(
+        &self,
+        name: &'static str,
+        technique: Technique,
+        cpu: &CpuSpec,
+        training: &Profile,
+        sink: DispatchAttribution,
+    ) -> (RunResult, DispatchAttribution, Json) {
+        let image = self.image(name);
+        let translation = ivm_core::translate(
+            image.spec(),
+            image.program(),
+            technique,
+            Some(training),
+            image.super_selection(),
+        );
+        let sink = sink.shared();
+        let engine = Engine::for_cpu(cpu).with_observer(sink.clone());
+        let mut m = Measurement::new(translation, engine);
+        image
+            .execute(&mut m, image.default_fuel())
+            .unwrap_or_else(|e| panic!("{}/{name}/{technique}: {e}", self.name));
+        // Resolve instances to opcodes before `finish` consumes the
+        // translation; `finish` delivers the last batch to the sink.
+        let op_names: Vec<String> =
+            (0..image.program().len()).map(|i| m.translation().op_name(i).to_owned()).collect();
+        let result = m.finish();
+        let sink =
+            Rc::try_unwrap(sink).expect("the finished run released its observer").into_inner();
+        let breakdown = sink.to_json(Some(&op_names));
+        (result, sink, breakdown)
+    }
 }
 
 fn forth_frontend() -> Frontend {
@@ -497,9 +539,32 @@ mod tests {
     }
 
     #[test]
+    fn attribution_accounts_every_dispatch_of_the_run() {
+        // The engine delivers dispatches to observers in batches of 1024;
+        // a sink read before `finish` misses the last, partial batch.
+        let fe = frontend("calc");
+        let training = fe.training_for("triangle");
+        for technique in [Technique::Threaded, Technique::DynamicRepl] {
+            let sink = DispatchAttribution::new().with_btb_sets(ivm_bpred::BtbConfig::celeron());
+            let cpu = CpuSpec::celeron800();
+            let (run, sink, json) = fe.attributed_run("triangle", technique, &cpu, &training, sink);
+            let dispatches = run.counters.dispatches;
+            assert_ne!(dispatches % 1024, 0, "{technique}: the run must end on a partial batch");
+            assert_eq!(sink.total().executed, dispatches, "{technique}");
+            assert_eq!(sink.total().mispredicted, run.counters.indirect_mispredicted);
+            let total = json.get("total").and_then(|t| t.get("executed")).and_then(Json::as_f64);
+            assert_eq!(total, Some(dispatches as f64), "{technique}: JSON total");
+            let per_opcode = json.get("per_opcode").and_then(Json::as_arr).expect("opcode view");
+            let executed: f64 =
+                per_opcode.iter().filter_map(|o| o.get("executed").and_then(Json::as_f64)).sum();
+            assert_eq!(executed, dispatches as f64, "{technique}: opcodes account every dispatch");
+        }
+    }
+
+    #[test]
     fn forth_training_is_nonempty() {
         let p = frontend("forth").training();
-        assert!(p.total_ops() > 10_000);
+        assert!(p.op_counts().map(|(_, c)| c).sum::<u64>() > 10_000);
     }
 
     #[test]

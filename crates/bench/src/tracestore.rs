@@ -32,7 +32,7 @@ use ivm_bpred::{
     AnyPredictor, Btb, BtbConfig, CascadedPredictor, IdealBtb, Ittage, IttageConfig, PathHybrid,
     PathHybridConfig, TwoBitBtb, TwoLevelConfig, TwoLevelPredictor,
 };
-use ivm_cache::CpuSpec;
+use ivm_cache::{CycleCosts, PerfectIcache};
 use ivm_core::{
     dispatch_spec_hash, DispatchTrace, Engine, ExecutionTrace, GuestVm, Profile, SharedObserver,
     Technique,
@@ -176,8 +176,9 @@ impl TraceStore {
         let _span = ivm_obs::span::enter("trace_capture");
         let observer = Rc::new(RefCell::new(DispatchTrace::new(expected, tech_id)));
         // The dispatch stream does not depend on the machine model:
-        // control flow never consults the predictor or the caches.
-        let engine = Engine::for_cpu(&CpuSpec::celeron800())
+        // control flow never consults the predictor or the caches, so
+        // capture runs on the cheapest machine there is.
+        let engine = Engine::new(IdealBtb::new(), Box::new(PerfectIcache), CycleCosts::celeron())
             .with_observer(observer.clone() as SharedObserver);
         ivm_core::measure_trace_with(vm, exec, technique, engine, training);
         let trace =
@@ -217,6 +218,8 @@ fn persist(path: &Path, encoded: &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ivm_cache::{CpuSpec, PredictorKind};
+    use ivm_core::ReplicaSelection;
 
     /// Acquires calc/triangle through `store`, checks that the store kept
     /// no reference to the trace, and returns it plus the path the store
@@ -280,5 +283,55 @@ mod tests {
         assert_eq!(rewritten, good, "recapture rewrites the artifact");
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn capture_stream_does_not_depend_on_the_machine() {
+        // The store captures on an ideal BTB with a perfect I-cache. Its
+        // stream must equal what an observer records on full machine
+        // models: the Pentium 4, with its trace cache, and the Pentium M,
+        // whose history predictor misses where the ideal BTB hits.
+        let fe = crate::frontend("forth");
+        let image = fe.image("brew");
+        let (exec, _) = ivm_core::record(&*image).expect("recording run");
+        let training = fe.training_for("brew");
+        let store = TraceStore { dir: None };
+        let static_repl =
+            Technique::StaticRepl { budget: 100, selection: ReplicaSelection::RoundRobin };
+        for cpu in [CpuSpec::pentium4_northwood(), CpuSpec::pentium_m()] {
+            for technique in [Technique::Threaded, static_repl] {
+                let stored = store.get_or_capture(
+                    "forth",
+                    "brew",
+                    &*image,
+                    &exec,
+                    technique,
+                    Some(&training),
+                );
+                let hash =
+                    dispatch_spec_hash(image.spec(), image.program(), technique, Some(&training));
+                let observer = Rc::new(RefCell::new(DispatchTrace::new(hash, technique.id())));
+                let engine =
+                    Engine::for_cpu(&cpu).with_observer(observer.clone() as SharedObserver);
+                let run = ivm_core::measure_trace_with(
+                    &*image,
+                    &exec,
+                    technique,
+                    engine,
+                    Some(&training),
+                );
+                let label = format!("{}/{technique}", cpu.name);
+                assert!(run.counters.icache_misses > 0, "{label}: the I-cache misses");
+                if matches!(cpu.predictor, PredictorKind::TwoLevel(_)) {
+                    let ideal =
+                        ivm_core::simulate_many(stored.trace(), &mut [IdealBtb::new().into()]);
+                    assert_ne!(
+                        run.counters.indirect_mispredicted, ideal[0].mispredicted,
+                        "{label}: the machine must predict unlike the capture machine"
+                    );
+                }
+                assert_eq!(stored.trace(), &*observer.borrow(), "{label}: streams differ");
+            }
+        }
     }
 }

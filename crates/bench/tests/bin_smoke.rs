@@ -258,7 +258,7 @@ fn every_binary_runs_under_smoke_workload() {
     // wall time is the slowest binary, not the sum.
     let cells: Vec<Cell<&str>> =
         BINS.iter().map(|&(name, path)| Cell::new(format!("smoke/{name}"), path)).collect();
-    let (results, _) = run_cells_with(BINS.len(), 0, &cells, |cell, ctx| {
+    let (results, _) = run_cells_with(BINS.len(), &cells, |cell, ctx| {
         let name = ctx.id().rsplit('/').next().expect("id has a name segment").to_owned();
         run_smoke(&name, cell.input)
     })

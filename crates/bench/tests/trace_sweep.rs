@@ -62,7 +62,7 @@ fn simulate_many_is_bit_identical_to_per_predictor_reexecution() {
         // irrelevant — the stream must not depend on it).
         let observer = Rc::new(RefCell::new(DispatchTrace::new(0, technique.id())));
         let capture_engine =
-            Engine::new(ivm_bpred::IdealBtb::new(), Box::new(PerfectIcache::default()), costs)
+            Engine::new(ivm_bpred::IdealBtb::new(), Box::new(PerfectIcache), costs)
                 .with_observer(observer.clone() as SharedObserver);
         let _ = ivm_core::measure_trace_with(
             &*image,
@@ -85,7 +85,7 @@ fn simulate_many_is_bit_identical_to_per_predictor_reexecution() {
         for ((name, build), stat) in registry.iter().zip(&stats) {
             // Re-execute the interpreter live with this predictor in the
             // engine — the pre-trace-store way of evaluating it.
-            let engine = Engine::new(build(), Box::new(PerfectIcache::default()), costs);
+            let engine = Engine::new(build(), Box::new(PerfectIcache), costs);
             let (r, _) = ivm_core::measure_with(&*image, technique, engine, Some(&training))
                 .unwrap_or_else(|e| panic!("{technique}/{name}: {e}"));
             assert_eq!(

@@ -108,18 +108,6 @@ impl IndirectPredictor for AnyPredictor {
         }
     }
 
-    fn reset(&mut self) {
-        match self {
-            Self::Ideal(p) => p.reset(),
-            Self::Btb(p) => p.reset(),
-            Self::TwoBit(p) => p.reset(),
-            Self::TwoLevel(p) => p.reset(),
-            Self::Cascaded(p) => p.reset(),
-            Self::PathHybrid(p) => p.reset(),
-            Self::Ittage(p) => p.reset(),
-        }
-    }
-
     fn describe(&self) -> String {
         match self {
             Self::Ideal(p) => p.describe(),
@@ -211,20 +199,6 @@ mod tests {
                     plain.describe()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn reset_clears_every_variant() {
-        for mut p in zoo() {
-            // Monomorphic warmup long enough for the history predictors to
-            // converge on a steady hit.
-            for _ in 0..8 {
-                p.predict_and_update(1, 10);
-            }
-            assert!(p.predict_and_update(1, 10), "{}: warm hit before reset", p.describe());
-            p.reset();
-            assert!(!p.predict_and_update(1, 10), "{}: reset must cold-miss", p.describe());
         }
     }
 

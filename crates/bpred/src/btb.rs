@@ -18,13 +18,13 @@ pub struct BtbConfig {
     entries: usize,
     assoc: usize,
     tagged: bool,
-    index_shift: u32,
 }
 
 impl BtbConfig {
     /// Creates a configuration with `entries` total entries organised into
-    /// sets of `assoc` ways, tagged, indexed by bits `[4..]` of the branch
-    /// address (instructions are assumed 16-byte aligned at most).
+    /// sets of `assoc` ways, tagged, indexed by the low bits of the full
+    /// branch address — the most conflict-averse choice for the
+    /// byte-addressed layouts the interpreter model produces.
     ///
     /// # Panics
     ///
@@ -39,7 +39,7 @@ impl BtbConfig {
         );
         let sets = entries / assoc;
         assert!(sets.is_power_of_two(), "set count {sets} must be a power of two");
-        Self { entries, assoc, tagged: true, index_shift: 0 }
+        Self { entries, assoc, tagged: true }
     }
 
     /// Uses tagless entries: aliasing branches silently share a slot and
@@ -49,18 +49,6 @@ impl BtbConfig {
     #[must_use]
     pub fn tagless(mut self) -> Self {
         self.tagged = false;
-        self
-    }
-
-    /// Sets how many low address bits are dropped before set indexing.
-    ///
-    /// Real BTBs typically drop the byte-offset bits of the fetch block; the
-    /// default of 0 indexes on the full branch address, which is the most
-    /// conflict-averse choice for the byte-addressed layouts produced by the
-    /// interpreter model.
-    #[must_use]
-    pub fn with_index_shift(mut self, shift: u32) -> Self {
-        self.index_shift = shift;
         self
     }
 
@@ -98,7 +86,7 @@ impl BtbConfig {
     /// so attribution sinks can bucket dispatch branches by BTB set without
     /// duplicating the indexing function.
     pub fn set_index(&self, branch: Addr) -> usize {
-        ((branch >> self.index_shift) as usize) & (self.sets() - 1)
+        (branch as usize) & (self.sets() - 1)
     }
 }
 
@@ -139,13 +127,6 @@ pub struct Btb {
     /// (the tick counter pre-increments, so live ways are always ≥ 1).
     lru: Vec<u64>,
     tick: u64,
-    /// Valid entries held, maintained on allocation/reset so occupancy
-    /// reads are O(1) instead of an O(entries) scan — attribution sinks
-    /// sample occupancy per dispatch, which would otherwise dominate the
-    /// simulate hot loop.
-    valid_entries: usize,
-    /// Valid entries per set, maintained alongside `valid_entries`.
-    per_set_valid: Vec<u32>,
 }
 
 impl Btb {
@@ -157,8 +138,6 @@ impl Btb {
             targets: vec![0; config.entries],
             lru: vec![0; config.entries],
             tick: 0,
-            valid_entries: 0,
-            per_set_valid: vec![0; config.sets()],
         }
     }
 
@@ -167,32 +146,9 @@ impl Btb {
         self.config
     }
 
-    /// Number of valid entries currently held.
-    pub fn occupancy(&self) -> usize {
-        self.valid_entries
-    }
-
-    fn set_index(&self, branch: Addr) -> usize {
-        self.config.set_index(branch)
-    }
-
-    /// Valid entries per set, for occupancy heatmaps.
-    pub fn per_set_occupancy(&self) -> Vec<u32> {
-        self.per_set_valid.clone()
-    }
-
-    fn tag(&self, branch: Addr) -> Addr {
-        branch >> self.config.index_shift
-    }
-
-    /// Installs `(tag, target)` into way `w` of set `idx`, keeping the
-    /// O(1) occupancy counters in step when the way was invalid.
+    /// Installs `(tag, target)` into way `w`.
     #[inline]
-    fn allocate(&mut self, w: usize, idx: usize, tag: Addr, target: Addr, tick: u64) {
-        if self.lru[w] == 0 {
-            self.valid_entries += 1;
-            self.per_set_valid[idx] += 1;
-        }
+    fn allocate(&mut self, w: usize, tag: Addr, target: Addr, tick: u64) {
         self.tags[w] = tag;
         self.targets[w] = target;
         self.lru[w] = tick;
@@ -204,8 +160,7 @@ impl IndirectPredictor for Btb {
     fn predict_and_update(&mut self, branch: Addr, target: Addr) -> bool {
         self.tick += 1;
         let tick = self.tick;
-        let tag = self.tag(branch);
-        let idx = self.set_index(branch);
+        let idx = self.config.set_index(branch);
         let assoc = self.config.assoc;
         let base = idx * assoc;
 
@@ -215,12 +170,12 @@ impl IndirectPredictor for Btb {
             let set_lru = &self.lru[base..base + assoc];
             let set_tags = &self.tags[base..base + assoc];
             // Branchless hit scan: a way matches iff it is valid
-            // (lru != 0) and its tag equals ours. Valid tags within a set
-            // are distinct, so at most one way matches and the select
-            // order is immaterial.
+            // (lru != 0) and its tag is our branch address. Valid tags
+            // within a set are distinct, so at most one way matches and
+            // the select order is immaterial.
             let mut way = usize::MAX;
             for w in 0..assoc {
-                let matches = (set_lru[w] != 0) & (set_tags[w] == tag);
+                let matches = (set_lru[w] != 0) & (set_tags[w] == branch);
                 way = if matches { base + w } else { way };
             }
             if way == usize::MAX {
@@ -235,22 +190,24 @@ impl IndirectPredictor for Btb {
                     best = if better { t } else { best };
                     victim = if better { w } else { victim };
                 }
-                self.allocate(base + victim, idx, tag, target, tick);
+                self.allocate(base + victim, branch, target, tick);
                 return false;
             }
             way
         } else {
             // Tagless: direct use of the indexed way; with associativity > 1
-            // the ways within a set are sub-indexed by tag bits so aliasing
-            // is still possible but less frequent.
-            let way_idx = if assoc == 1 { 0 } else { (tag as usize / self.config.sets()) % assoc };
+            // the ways within a set are sub-indexed by the address bits
+            // above the set index, so aliasing is still possible but less
+            // frequent.
+            let way_idx =
+                if assoc == 1 { 0 } else { (branch as usize / self.config.sets()) % assoc };
             let w = base + way_idx;
-            if self.lru[w] == 0 || self.tags[w] != tag {
+            if self.lru[w] == 0 || self.tags[w] != branch {
                 // Invalid or aliased way: (re)allocate. An aliased target
                 // can still coincide, which is exactly the silent-sharing
                 // hit the tagless model intends.
                 let hit = self.lru[w] != 0 && self.targets[w] == target;
-                self.allocate(w, idx, tag, target, tick);
+                self.allocate(w, branch, target, tick);
                 return hit;
             }
             w
@@ -260,13 +217,6 @@ impl IndirectPredictor for Btb {
         self.targets[way] = target;
         self.lru[way] = tick;
         hit
-    }
-
-    fn reset(&mut self) {
-        self.lru.fill(0);
-        self.tick = 0;
-        self.valid_entries = 0;
-        self.per_set_valid.fill(0);
     }
 
     fn describe(&self) -> String {
@@ -295,55 +245,22 @@ mod tests {
 
     #[test]
     fn public_set_index_matches_btb_placement() {
-        let cfg = BtbConfig::new(8, 2).with_index_shift(4);
+        let cfg = BtbConfig::new(8, 2);
         assert_eq!(cfg.sets(), 4);
         assert_eq!(cfg.set_index(0x00), 0);
-        assert_eq!(cfg.set_index(0x10), 1);
-        assert_eq!(cfg.set_index(0x43), 0); // 0x43 >> 4 = 4, wraps to set 0
-                                            // Aliasing branches (same public set index) conflict in a
-                                            // direct-mapped tagless BTB, confirming the index is the real one.
+        assert_eq!(cfg.set_index(0x01), 1);
+        // The set is the low two bits of the address.
+        assert_eq!(cfg.set_index(0x43), 3);
+        // Aliasing branches (same public set index) conflict in a
+        // direct-mapped tagless BTB, confirming the index is the real one.
         let a = 0x00u64;
         let b = 0x40u64;
-        let cfg = BtbConfig::new(4, 1).tagless().with_index_shift(4);
+        let cfg = BtbConfig::new(4, 1).tagless();
         assert_eq!(cfg.set_index(a), cfg.set_index(b));
         let mut btb = Btb::new(cfg);
         btb.predict_and_update(a, 111);
         btb.predict_and_update(b, 222);
         assert!(!btb.predict_and_update(a, 111), "alias must have evicted a");
-    }
-
-    #[test]
-    fn per_set_occupancy_tracks_valid_ways() {
-        let cfg = BtbConfig::new(4, 2); // 2 sets x 2 ways
-        let mut btb = Btb::new(cfg);
-        assert_eq!(btb.per_set_occupancy(), vec![0, 0]);
-        btb.predict_and_update(0, 1); // set 0
-        btb.predict_and_update(1, 1); // set 1
-        btb.predict_and_update(2, 1); // set 0 again, second way
-        assert_eq!(btb.per_set_occupancy(), vec![2, 1]);
-        assert_eq!(btb.occupancy(), 3);
-    }
-
-    #[test]
-    fn occupancy_counters_match_a_full_scan() {
-        // The O(1) counters must agree with a scan of the ways at every
-        // step, for both tagged and tagless geometries.
-        for cfg in [BtbConfig::new(8, 2), BtbConfig::new(8, 2).tagless(), BtbConfig::new(4, 4)] {
-            let mut btb = Btb::new(cfg);
-            for i in 0..64u64 {
-                btb.predict_and_update(i * 3 % 17, i);
-                let scan: Vec<u32> = btb
-                    .lru
-                    .chunks(cfg.assoc())
-                    .map(|set| set.iter().filter(|&&t| t != 0).count() as u32)
-                    .collect();
-                assert_eq!(btb.per_set_occupancy(), scan);
-                assert_eq!(btb.occupancy() as u32, scan.iter().sum::<u32>());
-            }
-            btb.reset();
-            assert_eq!(btb.occupancy(), 0);
-            assert!(btb.per_set_occupancy().iter().all(|&n| n == 0));
-        }
     }
 
     #[test]
@@ -381,7 +298,10 @@ mod tests {
                 }
             }
         }
-        assert_eq!(btb.occupancy(), 4);
+        // The four most recent branches fill the BTB.
+        for b in (1..5u64).rev() {
+            assert!(btb.predict_and_update(b, 1000 + b), "branch {b} resident");
+        }
     }
 
     #[test]
@@ -417,15 +337,6 @@ mod tests {
         btb.predict_and_update(sets, 222);
         assert!(btb.predict_and_update(0, 111));
         assert!(btb.predict_and_update(sets, 222));
-    }
-
-    #[test]
-    fn reset_invalidates_everything() {
-        let mut btb = Btb::new(BtbConfig::celeron());
-        btb.predict_and_update(0x100, 0x9000);
-        btb.reset();
-        assert_eq!(btb.occupancy(), 0);
-        assert!(!btb.predict_and_update(0x100, 0x9000));
     }
 
     #[test]

@@ -81,13 +81,6 @@ impl IndirectPredictor for CascadedPredictor {
         hit
     }
 
-    fn reset(&mut self) {
-        self.stage1.clear();
-        self.strikes.clear();
-        self.promoted.clear();
-        self.stage2.reset();
-    }
-
     fn describe(&self) -> String {
         format!("cascaded-p{}-{}", self.promote_after, self.stage2.describe())
     }
@@ -147,17 +140,6 @@ mod tests {
         let mut btb = IdealBtb::new();
         let mut cascade = CascadedPredictor::with_defaults();
         assert!(run(&mut cascade) < run(&mut btb));
-    }
-
-    #[test]
-    fn reset_clears_promotions() {
-        let mut p = CascadedPredictor::with_defaults();
-        for i in 0..10u64 {
-            p.predict_and_update(1, i);
-        }
-        assert_eq!(p.promoted(), 1);
-        p.reset();
-        assert_eq!(p.promoted(), 0);
     }
 
     #[test]

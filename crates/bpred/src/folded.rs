@@ -62,12 +62,6 @@ impl GlobalHistory {
         let pos = self.head.wrapping_sub(age) & self.mask;
         (self.words[pos >> 6] >> (pos & 63)) & 1 != 0
     }
-
-    /// Resets all history bits to zero.
-    pub fn reset(&mut self) {
-        self.words.fill(0);
-        self.head = 0;
-    }
 }
 
 /// A w-bit circular-shift fold of the newest L global history bits.
@@ -110,11 +104,6 @@ impl FoldedHistory {
     /// The current folded image.
     pub fn value(&self) -> u64 {
         self.comp
-    }
-
-    /// Clears the fold back to the all-zero-history state.
-    pub fn reset(&mut self) {
-        self.comp = 0;
     }
 
     /// Rebuilds the fold from the raw history in O(length): a bit enters
@@ -164,21 +153,5 @@ mod tests {
             fold.update(bit, outgoing);
             assert!(fold.value() < 8, "fold exceeded its 3-bit width");
         }
-    }
-
-    #[test]
-    fn reset_restores_empty_state() {
-        let mut hist = GlobalHistory::new(16);
-        let mut fold = FoldedHistory::new(10, 5);
-        for i in 0..50u32 {
-            let outgoing = hist.bit(9);
-            hist.push(i % 2 == 0);
-            fold.update(i % 2 == 0, outgoing);
-        }
-        hist.reset();
-        fold.reset();
-        assert_eq!(fold.value(), 0);
-        assert!(!hist.bit(0));
-        assert_eq!(FoldedHistory::recompute(&hist, 10, 5), 0);
     }
 }

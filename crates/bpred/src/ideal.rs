@@ -33,15 +33,6 @@ impl IdealBtb {
         Self::default()
     }
 
-    /// Number of distinct branches observed so far.
-    ///
-    /// Useful for checking how much BTB capacity an interpreter layout
-    /// actually needs (e.g. dynamic replication wants one entry per VM
-    /// instruction *instance*).
-    pub fn occupancy(&self) -> usize {
-        self.entries.len()
-    }
-
     /// The currently predicted target for `branch`, if it has been seen.
     pub fn predicted_target(&self, branch: Addr) -> Option<Addr> {
         self.entries.get(&branch).copied()
@@ -65,10 +56,6 @@ impl IndirectPredictor for IdealBtb {
         }
     }
 
-    fn reset(&mut self) {
-        self.entries.clear();
-    }
-
     fn describe(&self) -> String {
         "ideal-btb".to_owned()
     }
@@ -83,7 +70,6 @@ mod tests {
         let mut btb = IdealBtb::new();
         assert!(!btb.predict_and_update(1, 10));
         assert!(btb.predict_and_update(1, 10));
-        assert_eq!(btb.occupancy(), 1);
     }
 
     #[test]
@@ -93,7 +79,6 @@ mod tests {
         btb.predict_and_update(2, 20);
         assert!(btb.predict_and_update(1, 10));
         assert!(btb.predict_and_update(2, 20));
-        assert_eq!(btb.occupancy(), 2);
     }
 
     #[test]
@@ -118,14 +103,5 @@ mod tests {
         assert_eq!(btb.predicted_target(5), Some(50));
         btb.predict_and_update(5, 60);
         assert_eq!(btb.predicted_target(5), Some(60));
-    }
-
-    #[test]
-    fn reset_clears_entries() {
-        let mut btb = IdealBtb::new();
-        btb.predict_and_update(5, 50);
-        btb.reset();
-        assert_eq!(btb.occupancy(), 0);
-        assert!(!btb.predict_and_update(5, 50));
     }
 }

@@ -316,8 +316,7 @@ impl Ittage {
         &self.lengths
     }
 
-    /// Deterministic provider/alternate accounting since construction or
-    /// the last [`IndirectPredictor::reset`].
+    /// Deterministic provider/alternate accounting since construction.
     pub fn breakdown(&self) -> &IttageBreakdown {
         &self.breakdown
     }
@@ -500,25 +499,6 @@ impl IndirectPredictor for Ittage {
         hit
     }
 
-    fn reset(&mut self) {
-        self.base.fill(None);
-        self.tags.fill(0);
-        self.targets.fill(0);
-        self.states.fill(0);
-        self.history.reset();
-        for f in &mut self.folds {
-            f.index_fold.reset();
-            f.tag_fold_a.reset();
-            if let Some(fold) = &mut f.tag_fold_b {
-                fold.reset();
-            }
-        }
-        self.use_alt_on_na = 0;
-        self.until_aging = self.config.useful_reset_period;
-        self.age_phase = false;
-        self.breakdown = IttageBreakdown::new(self.config.tables);
-    }
-
     fn describe(&self) -> String {
         format!(
             "ittage-{}x{}-h{}..{}-base{}",
@@ -594,22 +574,6 @@ mod tests {
         let events = drive(&mut p, &polymorphic_loop(), 50);
         let _ = events;
         assert_eq!(p.breakdown().total(), 50 * polymorphic_loop().len() as u64);
-    }
-
-    #[test]
-    fn reset_restores_cold_state_bit_exactly() {
-        let stream: Vec<(Addr, Addr)> =
-            (0..500).map(|i| ((i % 13) * 8, 0x1000 + (i % 7) * 64)).collect();
-        let mut fresh = Ittage::new(IttageConfig::small());
-        let fresh_verdicts: Vec<bool> =
-            stream.iter().map(|&(b, t)| fresh.predict_and_update(b, t)).collect();
-        let mut reused = Ittage::new(IttageConfig::small());
-        drive(&mut reused, &stream, 1);
-        reused.reset();
-        let reused_verdicts: Vec<bool> =
-            stream.iter().map(|&(b, t)| reused.predict_and_update(b, t)).collect();
-        assert_eq!(fresh_verdicts, reused_verdicts, "reset must restore cold behaviour");
-        assert_eq!(fresh.breakdown(), reused.breakdown());
     }
 
     #[test]

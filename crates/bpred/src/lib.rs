@@ -19,9 +19,6 @@
 //!   of Driesen and Hölzle, as shipped in the Intel Pentium M (paper §8).
 //! * [`CascadedPredictor`] — Driesen and Hölzle's multi-stage cascade: a
 //!   cheap filter stage plus a history stage for promoted branches (§2.2).
-//! * [`CaseBlockTable`] — Kaeli and Emma's predictor for `switch` statements,
-//!   indexed by the switch operand (the VM opcode) rather than the branch
-//!   address (paper §8).
 //! * [`PathHybrid`] — a last-target table plus a folded path-history table
 //!   behind a two-bit chooser: the mid-2010s intermediate point between the
 //!   paper's predictors and the TAGE family.
@@ -59,7 +56,6 @@
 mod any;
 mod btb;
 mod cascaded;
-mod case_block;
 mod folded;
 mod hash;
 mod ideal;
@@ -72,12 +68,11 @@ mod two_level;
 pub use any::AnyPredictor;
 pub use btb::{Btb, BtbConfig};
 pub use cascaded::CascadedPredictor;
-pub use case_block::CaseBlockTable;
 pub use folded::{FoldedHistory, GlobalHistory};
 pub use ideal::IdealBtb;
 pub use ittage::{Ittage, IttageBreakdown, IttageConfig};
 pub use path_hybrid::{PathHybrid, PathHybridConfig};
-pub use stats::{PredStats, PredictorStats};
+pub use stats::PredStats;
 pub use two_bit::TwoBitBtb;
 pub use two_level::{TwoLevelConfig, TwoLevelPredictor};
 
@@ -115,38 +110,6 @@ pub trait IndirectPredictor {
     /// BTB miss.
     fn predict_and_update(&mut self, branch: Addr, target: Addr) -> bool;
 
-    /// Clears all predictor state, as if the simulated machine were reset.
-    fn reset(&mut self);
-
     /// A short human-readable description, e.g. `"btb-512x1-tagless"`.
     fn describe(&self) -> String;
-}
-
-impl<P: IndirectPredictor + ?Sized> IndirectPredictor for Box<P> {
-    fn predict_and_update(&mut self, branch: Addr, target: Addr) -> bool {
-        (**self).predict_and_update(branch, target)
-    }
-
-    fn reset(&mut self) {
-        (**self).reset();
-    }
-
-    fn describe(&self) -> String {
-        (**self).describe()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn boxed_predictor_delegates() {
-        let mut p: Box<dyn IndirectPredictor> = Box::new(IdealBtb::new());
-        assert!(!p.predict_and_update(1, 2));
-        assert!(p.predict_and_update(1, 2));
-        assert!(p.describe().contains("ideal"));
-        p.reset();
-        assert!(!p.predict_and_update(1, 2));
-    }
 }

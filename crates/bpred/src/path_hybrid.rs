@@ -139,14 +139,6 @@ impl IndirectPredictor for PathHybrid {
         hit
     }
 
-    fn reset(&mut self) {
-        self.last_target.iter_mut().for_each(|e| *e = None);
-        self.path_table.iter_mut().for_each(|e| *e = None);
-        self.meta.fill(1);
-        self.history.reset();
-        self.fold.reset();
-    }
-
     fn describe(&self) -> String {
         format!("path-hybrid-h{}-t{}", self.config.history, 1u64 << self.config.table_bits)
     }
@@ -193,18 +185,6 @@ mod tests {
             drive(&mut ideal, &path_dependent_loop(), 50),
         );
         assert!(h < b, "hybrid {h} misses should beat ideal-btb {b}");
-    }
-
-    #[test]
-    fn reset_restores_cold_state() {
-        let stream: Vec<(Addr, Addr)> = (0..300).map(|i| ((i % 9) * 4, 0x100 + (i % 5))).collect();
-        let mut fresh = PathHybrid::new(PathHybridConfig::classic());
-        let a: Vec<bool> = stream.iter().map(|&(b, t)| fresh.predict_and_update(b, t)).collect();
-        let mut reused = PathHybrid::new(PathHybridConfig::classic());
-        drive(&mut reused, &stream, 1);
-        reused.reset();
-        let b: Vec<bool> = stream.iter().map(|&(b, t)| reused.predict_and_update(b, t)).collect();
-        assert_eq!(a, b);
     }
 
     #[test]

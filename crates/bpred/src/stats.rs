@@ -1,10 +1,7 @@
 //! Prediction statistics helpers.
 
-use crate::{Addr, IndirectPredictor};
-
-/// Aggregate outcome of feeding one dispatch stream through a predictor:
-/// the plain-data counterpart of [`PredictorStats`], used where many
-/// predictors are swept over a shared stream (e.g.
+/// Aggregate outcome of feeding one dispatch stream through a predictor,
+/// used where many predictors are swept over a shared stream (e.g.
 /// `ivm_core::simulate_many`) and the caller only needs the counts.
 ///
 /// # Examples
@@ -28,7 +25,7 @@ pub struct PredStats {
 }
 
 impl PredStats {
-    /// Tallies one [`IndirectPredictor::predict_and_update`] outcome.
+    /// Tallies one [`crate::IndirectPredictor::predict_and_update`] outcome.
     pub fn record(&mut self, hit: bool) {
         self.executed += 1;
         self.mispredicted += u64::from(!hit);
@@ -44,95 +41,10 @@ impl PredStats {
     }
 }
 
-/// Wraps any [`IndirectPredictor`] and counts executions and mispredictions.
-///
-/// # Examples
-///
-/// ```
-/// use ivm_bpred::{IdealBtb, PredictorStats, IndirectPredictor};
-///
-/// let mut p = PredictorStats::new(IdealBtb::new());
-/// p.predict_and_update(1, 10);
-/// p.predict_and_update(1, 10);
-/// p.predict_and_update(1, 20);
-/// assert_eq!(p.executed(), 3);
-/// assert_eq!(p.mispredicted(), 2); // cold miss + target change
-/// assert!((p.misprediction_rate() - 2.0 / 3.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct PredictorStats<P> {
-    inner: P,
-    executed: u64,
-    mispredicted: u64,
-}
-
-impl<P: IndirectPredictor> PredictorStats<P> {
-    /// Wraps `inner`, starting all counters at zero.
-    pub fn new(inner: P) -> Self {
-        Self { inner, executed: 0, mispredicted: 0 }
-    }
-
-    /// Total branches executed.
-    pub fn executed(&self) -> u64 {
-        self.executed
-    }
-
-    /// Total mispredictions (including cold misses).
-    pub fn mispredicted(&self) -> u64 {
-        self.mispredicted
-    }
-
-    /// Fraction of executions that mispredicted; 0.0 when nothing ran.
-    pub fn misprediction_rate(&self) -> f64 {
-        if self.executed == 0 {
-            0.0
-        } else {
-            self.mispredicted as f64 / self.executed as f64
-        }
-    }
-
-    /// Zeroes the counters without touching predictor state.
-    pub fn clear_counts(&mut self) {
-        self.executed = 0;
-        self.mispredicted = 0;
-    }
-
-    /// A shared reference to the wrapped predictor.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// Consumes the wrapper and returns the predictor.
-    pub fn into_inner(self) -> P {
-        self.inner
-    }
-}
-
-impl<P: IndirectPredictor> IndirectPredictor for PredictorStats<P> {
-    fn predict_and_update(&mut self, branch: Addr, target: Addr) -> bool {
-        self.executed += 1;
-        let hit = self.inner.predict_and_update(branch, target);
-        if !hit {
-            self.mispredicted += 1;
-        }
-        hit
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-        self.executed = 0;
-        self.mispredicted = 0;
-    }
-
-    fn describe(&self) -> String {
-        self.inner.describe()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IdealBtb;
+    use crate::{IdealBtb, IndirectPredictor};
 
     #[test]
     fn pred_stats_tally_and_rate() {
@@ -147,41 +59,21 @@ mod tests {
 
     #[test]
     fn counts_and_rate() {
-        let mut p = PredictorStats::new(IdealBtb::new());
-        assert_eq!(p.misprediction_rate(), 0.0);
+        let mut p = IdealBtb::new();
+        let mut s = PredStats::default();
         for i in 0..10u64 {
-            p.predict_and_update(1, i % 2);
+            s.record(p.predict_and_update(1, i % 2));
         }
-        assert_eq!(p.executed(), 10);
-        assert_eq!(p.mispredicted(), 10);
-        assert_eq!(p.misprediction_rate(), 1.0);
+        assert_eq!(s, PredStats { executed: 10, mispredicted: 10 });
+        assert_eq!(s.misprediction_rate(), 1.0);
     }
 
     #[test]
     fn misprediction_rate_is_zero_not_nan_when_unused() {
-        let p = PredictorStats::new(IdealBtb::new());
-        assert_eq!(p.executed(), 0);
-        let rate = p.misprediction_rate();
+        let s = PredStats::default();
+        assert_eq!(s.executed, 0);
+        let rate = s.misprediction_rate();
         assert!(!rate.is_nan(), "an unused predictor must not report NaN");
         assert_eq!(rate, 0.0);
-    }
-
-    #[test]
-    fn clear_counts_keeps_predictor_state() {
-        let mut p = PredictorStats::new(IdealBtb::new());
-        p.predict_and_update(1, 10);
-        p.clear_counts();
-        assert_eq!(p.executed(), 0);
-        // Predictor still warm: next identical branch hits.
-        assert!(p.predict_and_update(1, 10));
-    }
-
-    #[test]
-    fn reset_clears_both() {
-        let mut p = PredictorStats::new(IdealBtb::new());
-        p.predict_and_update(1, 10);
-        p.reset();
-        assert_eq!(p.executed(), 0);
-        assert!(!p.predict_and_update(1, 10));
     }
 }

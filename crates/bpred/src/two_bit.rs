@@ -45,11 +45,6 @@ impl TwoBitBtb {
         Self::default()
     }
 
-    /// Number of distinct branches observed.
-    pub fn occupancy(&self) -> usize {
-        self.entries.len()
-    }
-
     /// The currently stored target for `branch`, if any.
     pub fn predicted_target(&self, branch: Addr) -> Option<Addr> {
         self.entries.get(&branch).map(|e| e.target)
@@ -78,10 +73,6 @@ impl IndirectPredictor for TwoBitBtb {
                 }
             }
         }
-    }
-
-    fn reset(&mut self) {
-        self.entries.clear();
     }
 
     fn describe(&self) -> String {
@@ -154,13 +145,5 @@ mod tests {
             p.predict_and_update(1, 20);
         }
         assert_eq!(p.predicted_target(1), Some(20));
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut p = TwoBitBtb::new();
-        p.predict_and_update(1, 10);
-        p.reset();
-        assert_eq!(p.occupancy(), 0);
     }
 }

@@ -113,11 +113,6 @@ impl IndirectPredictor for TwoLevelPredictor {
         hit
     }
 
-    fn reset(&mut self) {
-        self.history.clear();
-        self.table.iter_mut().for_each(|e| *e = None);
-    }
-
     fn describe(&self) -> String {
         format!("two-level-h{}-t{}", self.config.history_len, 1u64 << self.config.table_bits)
     }
@@ -180,16 +175,6 @@ mod tests {
             p.predict_and_update(1, 10);
         }
         assert!(p.predict_and_update(1, 10));
-    }
-
-    #[test]
-    fn reset_clears_history_and_table() {
-        let mut p = TwoLevelPredictor::new(TwoLevelConfig::default());
-        for _ in 0..10 {
-            p.predict_and_update(1, 10);
-        }
-        p.reset();
-        assert!(!p.predict_and_update(1, 10));
     }
 
     #[test]

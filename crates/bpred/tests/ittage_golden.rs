@@ -1,7 +1,7 @@
 //! Golden digests pinning the exact behaviour of the history predictors.
 //!
 //! `trace_sweep` and the property suites compare a predictor with itself
-//! (live engine vs replay, first run vs reset run), so a change to ITTAGE's
+//! (live engine vs replay, two fresh instances), so a change to ITTAGE's
 //! or the path hybrid's arithmetic that is self-consistent would pass them.
 //! These tests instead pin every verdict and every [`IttageBreakdown`]
 //! counter on seeded, history-correlated dispatch streams to recorded
@@ -52,19 +52,22 @@ impl Fnv {
     }
 }
 
-/// Feeds every seeded stream through `p`, resetting it before each, and
+/// Feeds every seeded stream through a fresh predictor from `build`, and
 /// digests the positions of the hits plus whatever `per_stream` adds at
 /// the end of each stream.
-fn digest<P: IndirectPredictor>(p: &mut P, mut per_stream: impl FnMut(&mut Fnv, &P)) -> u64 {
+fn digest<P: IndirectPredictor>(
+    build: impl Fn() -> P,
+    mut per_stream: impl FnMut(&mut Fnv, &P),
+) -> u64 {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     for seed in SEEDS {
-        p.reset();
+        let mut p = build();
         for (i, (branch, target)) in stream(seed).into_iter().enumerate() {
             if p.predict_and_update(branch, target) {
                 h.word(i as u64);
             }
         }
-        per_stream(&mut h, p);
+        per_stream(&mut h, &p);
     }
     h.0
 }
@@ -73,27 +76,31 @@ fn digest<P: IndirectPredictor>(p: &mut P, mut per_stream: impl FnMut(&mut Fnv, 
 /// and returns the allocation failures seen over all streams.
 fn check_ittage(name: &str, cfg: IttageConfig, expected: u64) -> u64 {
     let mut failures = 0;
-    let got = digest(&mut Ittage::new(cfg), |h, p| {
-        // Destructured so that no field can be left out of the digest.
-        let IttageBreakdown {
-            base_hits,
-            base_misses,
-            provider_hits,
-            provider_misses,
-            alt_hits,
-            alt_misses,
-            allocations,
-            allocation_failures,
-        } = p.breakdown();
-        for &w in [base_hits, base_misses, alt_hits, alt_misses, allocations, allocation_failures]
-            .into_iter()
-            .chain(provider_hits)
-            .chain(provider_misses)
-        {
-            h.word(w);
-        }
-        failures += allocation_failures;
-    });
+    let got = digest(
+        || Ittage::new(cfg),
+        |h, p| {
+            // Destructured so that no field can be left out of the digest.
+            let IttageBreakdown {
+                base_hits,
+                base_misses,
+                provider_hits,
+                provider_misses,
+                alt_hits,
+                alt_misses,
+                allocations,
+                allocation_failures,
+            } = p.breakdown();
+            for &w in
+                [base_hits, base_misses, alt_hits, alt_misses, allocations, allocation_failures]
+                    .into_iter()
+                    .chain(provider_hits)
+                    .chain(provider_misses)
+            {
+                h.word(w);
+            }
+            failures += allocation_failures;
+        },
+    );
     assert_eq!(got, expected, "ittage {name}: behaviour changed (digest {got:#018x})");
     failures
 }
@@ -155,6 +162,6 @@ fn ittage_wide_is_pinned() {
 
 #[test]
 fn path_hybrid_is_pinned() {
-    let got = digest(&mut PathHybrid::new(PathHybridConfig::classic()), |_, _| {});
+    let got = digest(|| PathHybrid::new(PathHybridConfig::classic()), |_, _| {});
     assert_eq!(got, 0x1bb9_6036_8d7c_1623, "path hybrid: behaviour changed (digest {got:#018x})");
 }

@@ -4,8 +4,8 @@ use ivm_harness::prop::{self, Source};
 use ivm_harness::{prop_assert, prop_assert_eq};
 
 use ivm_bpred::{
-    Btb, BtbConfig, CaseBlockTable, FoldedHistory, GlobalHistory, IdealBtb, IndirectPredictor,
-    Ittage, IttageConfig, PathHybrid, PathHybridConfig, PredictorStats, TwoBitBtb, TwoLevelConfig,
+    Btb, BtbConfig, FoldedHistory, GlobalHistory, IdealBtb, IndirectPredictor, Ittage,
+    IttageConfig, PathHybrid, PathHybridConfig, PredStats, TwoBitBtb, TwoLevelConfig,
     TwoLevelPredictor,
 };
 
@@ -30,19 +30,18 @@ fn predictors() -> Vec<Box<dyn IndirectPredictor>> {
     ]
 }
 
-/// Predictors are deterministic: replaying a stream after reset gives
-/// identical outcomes.
+/// Predictors are deterministic: two fresh instances fed the same stream
+/// give identical outcomes.
 #[test]
-fn deterministic_after_reset() {
-    prop::check("deterministic_after_reset", prop::Config::from_env(), |src| {
+fn fresh_predictors_agree() {
+    prop::check("fresh_predictors_agree", prop::Config::from_env(), |src| {
         let stream = stream(src);
-        for mut p in predictors() {
+        for (mut p, mut q) in predictors().into_iter().zip(predictors()) {
             let first: Vec<bool> =
                 stream.iter().map(|&(b, t)| p.predict_and_update(b, t)).collect();
-            p.reset();
             let second: Vec<bool> =
-                stream.iter().map(|&(b, t)| p.predict_and_update(b, t)).collect();
-            prop_assert_eq!(&first, &second, "{} diverged after reset", p.describe());
+                stream.iter().map(|&(b, t)| q.predict_and_update(b, t)).collect();
+            prop_assert_eq!(&first, &second, "two fresh {} diverged", p.describe());
         }
         Ok(())
     });
@@ -78,45 +77,31 @@ fn monomorphic_branches_hit_on_unbounded_predictors() {
 fn ideal_upper_bounds_finite_tagged() {
     prop::check("ideal_upper_bounds_finite_tagged", prop::Config::from_env(), |src| {
         let stream = stream(src);
-        let mut ideal = PredictorStats::new(IdealBtb::new());
-        let mut finite = PredictorStats::new(Btb::new(BtbConfig::new(8, 1)));
+        let (mut ideal, mut finite) = (IdealBtb::new(), Btb::new(BtbConfig::new(8, 1)));
+        let (mut ideal_stats, mut finite_stats) = (PredStats::default(), PredStats::default());
         for &(b, t) in &stream {
-            ideal.predict_and_update(b, t);
-            finite.predict_and_update(b, t);
+            ideal_stats.record(ideal.predict_and_update(b, t));
+            finite_stats.record(finite.predict_and_update(b, t));
         }
-        prop_assert!(ideal.mispredicted() <= finite.mispredicted());
+        prop_assert!(ideal_stats.mispredicted <= finite_stats.mispredicted);
         Ok(())
     });
 }
 
-/// Statistics wrapper counts every execution.
+/// Tallied predictor outcomes count every execution.
 #[test]
 fn stats_count_everything() {
     prop::check("stats_count_everything", prop::Config::from_env(), |src| {
         let stream = stream(src);
-        let mut p = PredictorStats::new(IdealBtb::new());
+        let mut p = IdealBtb::new();
+        let mut stats = PredStats::default();
         for &(b, t) in &stream {
-            p.predict_and_update(b, t);
+            stats.record(p.predict_and_update(b, t));
         }
-        prop_assert_eq!(p.executed(), stream.len() as u64);
-        prop_assert!(p.mispredicted() <= p.executed());
-        let rate = p.misprediction_rate();
+        prop_assert_eq!(stats.executed, stream.len() as u64);
+        prop_assert!(stats.mispredicted <= stats.executed);
+        let rate = stats.misprediction_rate();
         prop_assert!((0.0..=1.0).contains(&rate));
-        Ok(())
-    });
-}
-
-/// BTB occupancy never exceeds capacity.
-#[test]
-fn occupancy_bounded() {
-    prop::check("occupancy_bounded", prop::Config::from_env(), |src| {
-        let stream = stream(src);
-        let cfg = BtbConfig::new(16, 4);
-        let mut btb = Btb::new(cfg);
-        for &(b, t) in &stream {
-            btb.predict_and_update(b, t);
-            prop_assert!(btb.occupancy() <= cfg.entries());
-        }
         Ok(())
     });
 }
@@ -126,7 +111,7 @@ fn occupancy_bounded() {
 /// geometries and bit streams. The ring's capacity is drawn on its own,
 /// so rings span several words and are mostly not a power of two; the
 /// stream is long enough to wrap the ring, and every age at or past the
-/// capacity reads zero, also after a reset.
+/// capacity reads zero.
 #[test]
 fn folded_history_matches_reference_recompute() {
     prop::check("folded_history_matches_reference_recompute", prop::Config::from_env(), |src| {
@@ -153,13 +138,8 @@ fn folded_history_matches_reference_recompute() {
         }
         // Ages up to twice the ring's power-of-two span, so ages that
         // wrap onto live ring positions are read too.
-        let ages = 0..2 * capacity.next_power_of_two().max(64);
-        for age in ages.clone().filter(|&age| age >= capacity) {
+        for age in capacity..2 * capacity.next_power_of_two().max(64) {
             prop_assert!(!hist.bit(age), "age {} of a {}-bit ring read one", age, capacity);
-        }
-        hist.reset();
-        for age in ages {
-            prop_assert!(!hist.bit(age), "age {} read one after reset", age);
         }
         Ok(())
     });
@@ -197,8 +177,8 @@ fn ittage_breakdown_accounts_every_event() {
 }
 
 /// Tag aliasing: two branches whose streams are interleaved never make
-/// ITTAGE's verdicts depend on *untracked* state — replaying the exact
-/// stream after reset is bit-identical even when tags alias (the
+/// ITTAGE's verdicts depend on *untracked* state — two fresh instances
+/// fed the exact stream agree bit for bit even when tags alias (the
 /// aliasing itself must be a deterministic function of the stream).
 #[test]
 fn ittage_aliasing_is_deterministic() {
@@ -214,31 +194,11 @@ fn ittage_aliasing_is_deterministic() {
             useful_reset_period: 64,
         };
         let stream = stream(src);
-        let mut p = Ittage::new(cfg);
+        let (mut p, mut q) = (Ittage::new(cfg), Ittage::new(cfg));
         let first: Vec<bool> = stream.iter().map(|&(b, t)| p.predict_and_update(b, t)).collect();
-        let bd_first = p.breakdown().clone();
-        p.reset();
-        let second: Vec<bool> = stream.iter().map(|&(b, t)| p.predict_and_update(b, t)).collect();
-        prop_assert_eq!(&first, &second, "aliased ittage diverged after reset");
-        prop_assert_eq!(&bd_first, p.breakdown(), "breakdown must replay identically");
-        Ok(())
-    });
-}
-
-/// The case block table keyed by opcode predicts a switch interpreter
-/// perfectly once every opcode has been seen (targets fixed per key).
-#[test]
-fn case_block_table_is_perfect_for_switch() {
-    prop::check("case_block_table_is_perfect_for_switch", prop::Config::from_env(), |src| {
-        let ops = src.vec_of(1..200, |s| s.int_in(0u64..16));
-        let mut cbt = CaseBlockTable::new();
-        let case_addr = |op: u64| 0x7000 + op * 64;
-        let mut seen = std::collections::HashSet::new();
-        for &op in &ops {
-            let hit = cbt.predict_and_update(0x40, op, case_addr(op));
-            prop_assert_eq!(hit, seen.contains(&op));
-            seen.insert(op);
-        }
+        let second: Vec<bool> = stream.iter().map(|&(b, t)| q.predict_and_update(b, t)).collect();
+        prop_assert_eq!(&first, &second, "two fresh aliased ittages diverged");
+        prop_assert_eq!(p.breakdown(), q.breakdown(), "breakdown must replay identically");
         Ok(())
     });
 }

@@ -157,7 +157,7 @@ impl Default for SpecHasher {
 /// on: the instruction set (names, shapes, quickening variants), the
 /// program's opcode stream and control structure, the fully-parameterised
 /// [`Technique::id`], and — only when [`Technique::needs_profile`] — the
-/// training profile, via its canonical [`Profile::to_text`] form. A cached
+/// training profile, via its canonical text form. A cached
 /// trace whose header hash differs from this value is stale and must be
 /// recaptured. Profile-independent techniques deliberately ignore
 /// `training`, so every caller computes the same hash for them regardless

@@ -408,7 +408,7 @@ mod tests {
     fn engine() -> Engine {
         Engine::new(
             IdealBtb::new(),
-            Box::new(PerfectIcache::default()),
+            Box::new(PerfectIcache),
             CycleCosts { cpi: 1.0, mispredict_penalty: 10.0, icache_miss_penalty: 27.0 },
         )
     }

@@ -53,11 +53,6 @@ impl Profile {
         *self.op_counts.entry(op).or_insert(0) += count;
     }
 
-    /// How often `op` executed.
-    pub fn op_count(&self, op: OpId) -> u64 {
-        self.op_counts.get(&op).copied().unwrap_or(0)
-    }
-
     /// Iterates over `(op, count)` pairs.
     pub fn op_counts(&self) -> impl Iterator<Item = (OpId, u64)> + '_ {
         self.op_counts.iter().map(|(&op, &c)| (op, c))
@@ -92,11 +87,6 @@ impl Profile {
         for (seq, &c) in &other.block_counts {
             *self.block_counts.entry(seq.clone()).or_insert(0) += c;
         }
-    }
-
-    /// Total opcode executions recorded.
-    pub fn total_ops(&self) -> u64 {
-        self.op_counts.values().sum()
     }
 }
 
@@ -184,14 +174,18 @@ mod tests {
         (spec, p, a, c, r)
     }
 
+    fn op_count(prof: &Profile, op: OpId) -> u64 {
+        prof.op_counts().find(|&(o, _)| o == op).map_or(0, |(_, c)| c)
+    }
+
     #[test]
     fn static_profile_counts_occurrences() {
         let (_, p, a, c, r) = build();
         let prof = Profile::from_static(&p);
-        assert_eq!(prof.op_count(a), 2);
-        assert_eq!(prof.op_count(c), 1);
-        assert_eq!(prof.op_count(r), 1);
-        assert_eq!(prof.total_ops(), 4);
+        assert_eq!(op_count(&prof, a), 2);
+        assert_eq!(op_count(&prof, c), 1);
+        assert_eq!(op_count(&prof, r), 1);
+        assert_eq!(prof.op_counts().map(|(_, c)| c).sum::<u64>(), 4);
         // Two blocks: [a a c] and [r].
         assert_eq!(prof.block_counts().count(), 2);
     }
@@ -220,9 +214,9 @@ mod tests {
         col.transfer(1, 2, false);
         col.transfer(2, 3, false); // falls through into leader 3
         let prof = col.into_profile();
-        assert_eq!(prof.op_count(a), 4);
-        assert_eq!(prof.op_count(c), 2);
-        assert_eq!(prof.op_count(r), 1);
+        assert_eq!(op_count(&prof, a), 4);
+        assert_eq!(op_count(&prof, c), 2);
+        assert_eq!(op_count(&prof, r), 1);
         // Block [a a c] executed twice, [r] once.
         let blocks: HashMap<_, _> = prof.block_counts().map(|(s, n)| (s.to_vec(), n)).collect();
         assert_eq!(blocks.get(&vec![a, a, c]).copied(), Some(2));
@@ -237,7 +231,7 @@ mod tests {
         col.quicken(1, a); // pretend instance 1 quickened (op unchanged here)
         col.transfer(0, 1, false);
         let prof = col.into_profile();
-        assert_eq!(prof.op_count(a), 2);
+        assert_eq!(op_count(&prof, a), 2);
     }
 
     #[test]
@@ -246,16 +240,17 @@ mod tests {
         let mut x = Profile::from_static(&p);
         let y = Profile::from_static(&p);
         x.merge(&y);
-        assert_eq!(x.op_count(a), 4);
+        assert_eq!(op_count(&x, a), 4);
     }
 }
 
 impl Profile {
-    /// Serialises the profile to a simple line-based text format
-    /// (`op <id> <count>` and `block <id,id,...> <count>` lines), suitable
-    /// for checking a training profile into a repository or reusing it
-    /// across processes.
-    pub fn to_text(&self) -> String {
+    /// The profile's canonical text form: sorted `op <id> <count>` lines,
+    /// then sorted `block <id,id,...> <count>` lines, so equal counts give
+    /// equal text whatever order they were recorded in. It is the form
+    /// `dispatch_spec_hash` folds into a trace's invalidation hash, not a
+    /// storage format: nothing parses it back.
+    pub(crate) fn to_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let mut ops: Vec<(OpId, u64)> = self.op_counts().collect();
@@ -271,79 +266,29 @@ impl Profile {
         }
         out
     }
-
-    /// Parses the format produced by [`Profile::to_text`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed line.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut p = Self::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let kind = parts.next().unwrap_or("");
-            let body = parts.next().ok_or_else(|| format!("line {}: missing field", lineno + 1))?;
-            let count: u64 = parts
-                .next()
-                .ok_or_else(|| format!("line {}: missing count", lineno + 1))?
-                .parse()
-                .map_err(|e| format!("line {}: bad count: {e}", lineno + 1))?;
-            match kind {
-                "op" => {
-                    let op: OpId =
-                        body.parse().map_err(|e| format!("line {}: bad op id: {e}", lineno + 1))?;
-                    p.record_op(op, count);
-                }
-                "block" => {
-                    let seq: Result<Vec<OpId>, _> =
-                        body.split(',').map(str::parse::<OpId>).collect();
-                    let seq = seq.map_err(|e| format!("line {}: bad block: {e}", lineno + 1))?;
-                    p.record_block(&seq, count);
-                }
-                other => return Err(format!("line {}: unknown record `{other}`", lineno + 1)),
-            }
-        }
-        Ok(p)
-    }
 }
 
 #[cfg(test)]
-mod text_format_tests {
+mod text_form_tests {
     use super::*;
 
     #[test]
-    fn round_trips() {
+    fn text_form_is_canonical() {
         let mut p = Profile::new();
         p.record_op(3, 100);
         p.record_op(7, 5);
         p.record_block(&[3, 7], 42);
         p.record_block(&[7, 7, 3], 1);
-        let text = p.to_text();
-        let q = Profile::from_text(&text).expect("parses");
-        assert_eq!(q.op_count(3), 100);
-        assert_eq!(q.op_count(7), 5);
-        let grams = q.ngram_counts(2, 3);
-        assert_eq!(grams.get(&vec![3, 7]).copied(), Some(42));
-        assert_eq!(grams.get(&vec![7, 7, 3]).copied(), Some(1));
-        // Deterministic output: serialising again gives identical text.
-        assert_eq!(q.to_text(), text);
-    }
-
-    #[test]
-    fn comments_and_blank_lines_ok() {
-        let p = Profile::from_text("# comment\n\nop 1 10\n").expect("parses");
-        assert_eq!(p.op_count(1), 10);
-    }
-
-    #[test]
-    fn malformed_lines_are_reported() {
-        assert!(Profile::from_text("op nope 3").unwrap_err().contains("line 1"));
-        assert!(Profile::from_text("block 1,x 3").unwrap_err().contains("bad block"));
-        assert!(Profile::from_text("wat 1 2").unwrap_err().contains("unknown record"));
-        assert!(Profile::from_text("op 1").unwrap_err().contains("missing count"));
+        // The same counts recorded in the opposite order hash alike.
+        let mut q = Profile::new();
+        q.record_block(&[7, 7, 3], 1);
+        q.record_block(&[3, 7], 42);
+        q.record_op(7, 5);
+        q.record_op(3, 100);
+        assert_eq!(p.to_text(), q.to_text());
+        assert_eq!(p.to_text(), "op 3 100\nop 7 5\nblock 3,7 42\nblock 7,7,3 1\n");
+        // A changed count changes the text.
+        q.record_op(3, 1);
+        assert_ne!(p.to_text(), q.to_text());
     }
 }

@@ -105,16 +105,6 @@ impl ProgramCode {
         })
     }
 
-    /// The basic block containing instance `i`.
-    pub fn block_of(&self, i: usize) -> std::ops::Range<usize> {
-        let bi = match self.block_starts.binary_search(&(i as u32)) {
-            Ok(b) => b,
-            Err(ins) => ins - 1,
-        };
-        let end = self.block_starts.get(bi + 1).map(|&e| e as usize).unwrap_or(self.ops.len());
-        (self.block_starts[bi] as usize)..end
-    }
-
     /// Function entry points and other addresses reachable only via
     /// dispatch (beyond branch targets).
     pub fn extra_entries(&self) -> &[u32] {
@@ -240,7 +230,6 @@ mod tests {
         p.push(ret, None);
         let p = p.finish(&s);
         assert_eq!(p.blocks().collect::<Vec<_>>(), vec![0..3]);
-        assert_eq!(p.block_of(1), 0..3);
     }
 
     #[test]
@@ -256,7 +245,6 @@ mod tests {
         assert!(!p.is_leader(1));
         assert!(p.is_leader(2));
         assert_eq!(p.blocks().collect::<Vec<_>>(), vec![0..2, 2..4]);
-        assert_eq!(p.block_of(3), 2..4);
     }
 
     #[test]

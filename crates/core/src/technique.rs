@@ -186,20 +186,6 @@ impl Technique {
         )
     }
 
-    /// Whether this technique generates code at interpreter run time.
-    pub fn is_dynamic(&self) -> bool {
-        matches!(
-            self,
-            Technique::DynamicRepl
-                | Technique::DynamicSuper
-                | Technique::DynamicBoth
-                | Technique::AcrossBb
-                | Technique::WithStaticSuper { .. }
-                | Technique::WithStaticSuperAcross { .. }
-                | Technique::SubroutineThreading
-        )
-    }
-
     /// The nine standard variants of the Gforth comparison (§7.1) with the
     /// paper's budgets (400 additional instructions).
     pub fn gforth_suite() -> Vec<Technique> {
@@ -316,13 +302,6 @@ mod tests {
         assert!(
             Technique::WithStaticSuper { supers: 4, algo: CoverAlgorithm::Greedy }.needs_profile()
         );
-    }
-
-    #[test]
-    fn dynamic_classification() {
-        assert!(!Technique::Switch.is_dynamic());
-        assert!(!Technique::StaticSuper { budget: 1, algo: CoverAlgorithm::Greedy }.is_dynamic());
-        assert!(Technique::AcrossBb.is_dynamic());
     }
 
     #[test]

@@ -78,11 +78,6 @@ impl ExecutionTrace {
         self.events.is_empty()
     }
 
-    /// Number of recorded control transfers (excluding begins/quickenings).
-    pub fn transfers(&self) -> usize {
-        self.events.iter().filter(|e| matches!(e, Event::Transfer { .. })).count()
-    }
-
     /// Replays the recorded stream into `sink` in order.
     pub fn replay(&self, sink: &mut dyn VmEvents) {
         for &e in &self.events {
@@ -147,7 +142,6 @@ mod tests {
         trace.replay(&mut log);
         assert_eq!(log.0, vec!["b3", "t3-4-0", "q4-9", "t4-0-1"]);
         assert_eq!(trace.len(), 4);
-        assert_eq!(trace.transfers(), 2);
         assert!(!trace.is_empty());
     }
 

@@ -111,72 +111,6 @@ impl Translation {
         self.spec.name(self.ops[i])
     }
 
-    /// A human-readable listing of the layout — one line per instance with
-    /// entry address, work, and dispatch branches. For debugging
-    /// translators and inspecting what a technique actually built.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ivm_core::{translate, NativeSpec, InstKind, ProgramCode, SuperSelection, Technique, VmSpec};
-    ///
-    /// let mut b = VmSpec::builder("d");
-    /// let nop = b.inst("nop", NativeSpec::new(1, 4, InstKind::Plain));
-    /// let ret = b.inst("ret", NativeSpec::new(1, 4, InstKind::Return));
-    /// let spec = b.build();
-    /// let mut p = ProgramCode::builder("d");
-    /// p.push(nop, None);
-    /// p.push(ret, None);
-    /// let program = p.finish(&spec);
-    /// let t = translate(&spec, &program, Technique::Threaded, None, SuperSelection::gforth());
-    /// let dump = t.dump();
-    /// assert!(dump.contains("nop") && dump.contains("entry"));
-    /// ```
-    pub fn dump(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{} ({} instances, {} generated bytes)",
-            self.technique,
-            self.slots.len(),
-            self.code_bytes
-        );
-        for (i, slot) in self.slots.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{i:5} {:<14} entry={:#010x} work={:<3}",
-                self.spec.name(self.ops[i]),
-                slot.entry,
-                slot.work_instrs
-            );
-            if let Some(pre) = slot.pre {
-                let _ = write!(out, " pre->{:#010x}", pre.target);
-            }
-            match (slot.fall, slot.taken) {
-                (Some(f), Some(t)) if f == t => {
-                    let _ = write!(out, " disp@{:#010x}", f.branch);
-                }
-                (fall, taken) => {
-                    if let Some(f) = fall {
-                        let _ = write!(out, " fall@{:#010x}", f.branch);
-                    }
-                    if let Some(t) = taken {
-                        let _ = write!(out, " taken@{:#010x}", t.branch);
-                    }
-                }
-            }
-            if slot.fall.is_none() && slot.taken.is_none() {
-                let _ = write!(out, " (merged)");
-            }
-            if let Some(alt) = slot.alt {
-                let _ = write!(out, " alt->{:#010x}..{}", alt.entry, alt.until);
-            }
-            let _ = writeln!(out);
-        }
-        out
-    }
-
     /// Checks internal consistency of the layout and panics on violations;
     /// returns `self`'s instance count on success. Intended for tests and
     /// debugging after custom translator changes.

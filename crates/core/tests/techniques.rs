@@ -67,7 +67,7 @@ fn run(m: &Mini, program: &ProgramCode, tech: Technique, profile: &Profile) -> R
     let t = translate(&m.spec, program, tech, Some(profile), SuperSelection::gforth());
     let engine = Engine::new(
         IdealBtb::new(),
-        Box::new(PerfectIcache::default()),
+        Box::new(PerfectIcache),
         CycleCosts { cpi: 1.0, mispredict_penalty: 10.0, icache_miss_penalty: 27.0 },
     );
     let mut meas = Measurement::new(t, engine);
@@ -282,7 +282,7 @@ fn finite_btb_shows_conflicts_under_replication() {
     let t = translate(&m.spec, &program, Technique::DynamicRepl, None, SuperSelection::gforth());
     let tiny = Engine::new(
         Btb::new(BtbConfig::new(4, 1).tagless()),
-        Box::new(PerfectIcache::default()),
+        Box::new(PerfectIcache),
         CycleCosts { cpi: 1.0, mispredict_penalty: 10.0, icache_miss_penalty: 27.0 },
     );
     let mut meas = Measurement::new(t, tiny);
@@ -292,7 +292,7 @@ fn finite_btb_shows_conflicts_under_replication() {
     let t = translate(&m.spec, &program, Technique::DynamicRepl, None, SuperSelection::gforth());
     let big = Engine::new(
         IdealBtb::new(),
-        Box::new(PerfectIcache::default()),
+        Box::new(PerfectIcache),
         CycleCosts { cpi: 1.0, mispredict_penalty: 10.0, icache_miss_penalty: 27.0 },
     );
     let mut meas = Measurement::new(t, big);

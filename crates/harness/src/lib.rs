@@ -22,9 +22,8 @@
 //!   JSON output) for `harness = false` bench targets.
 //! * [`par`] — a deterministic parallel experiment executor: a scoped
 //!   worker pool that shards independent experiment cells across
-//!   `IVM_JOBS` threads, pins each cell's RNG stream to its stable id,
-//!   and merges results in canonical order, so reports are bit-identical
-//!   at any job count.
+//!   `IVM_JOBS` threads and merges results in canonical order, so
+//!   reports are bit-identical at any job count.
 //! * [`cluster`] — deterministic k-means phase clustering for
 //!   SimPoint-style interval sampling: seeded by the pinned [`rng`]
 //!   streams, fixed iteration cadence, every tie broken by stable index,

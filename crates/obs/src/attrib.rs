@@ -197,10 +197,16 @@ impl DispatchAttribution {
     /// (most mispredictions, ties by name). Only opcodes that dispatched
     /// at least once appear.
     pub fn per_opcode(&self, t: &Translation) -> Vec<OpTally> {
+        self.tally_opcodes(|i| t.op_name(i))
+    }
+
+    /// [`DispatchAttribution::per_opcode`] over any instance → opcode
+    /// name mapping.
+    fn tally_opcodes<'a>(&self, op_name: impl Fn(usize) -> &'a str) -> Vec<OpTally> {
         let mut by_name: BTreeMap<&str, Tally> = BTreeMap::new();
         for (i, tally) in self.per_instance.iter().enumerate() {
             if tally.executed > 0 {
-                let e = by_name.entry(t.op_name(i)).or_default();
+                let e = by_name.entry(op_name(i)).or_default();
                 e.executed += tally.executed;
                 e.mispredicted += tally.mispredicted;
             }
@@ -227,9 +233,13 @@ impl DispatchAttribution {
         self.ring.as_ref()
     }
 
-    /// Serialises the attribution breakdown; pass the run's translation to
-    /// include the per-opcode view.
-    pub fn to_json(&self, translation: Option<&Translation>) -> Json {
+    /// Serialises the attribution breakdown; pass the run's opcode name
+    /// per instance to include the per-opcode view.
+    ///
+    /// Read the sink after `Measurement::finish`, which delivers the last
+    /// batch of dispatches; collect the names from
+    /// [`Translation::op_name`] before `finish` consumes the translation.
+    pub fn to_json(&self, op_names: Option<&[String]>) -> Json {
         let total = self.total();
         let mut out = Json::obj().with("total", total.to_json());
         let instances = self
@@ -240,9 +250,9 @@ impl DispatchAttribution {
             .map(|(i, t)| t.to_json().with("instance", i))
             .collect();
         out.set("per_instance", Json::Arr(instances));
-        if let Some(t) = translation {
+        if let Some(names) = op_names {
             let ops = self
-                .per_opcode(t)
+                .tally_opcodes(|i| names[i].as_str())
                 .into_iter()
                 .map(|o| o.tally.to_json().with("op", o.name))
                 .collect();
@@ -359,11 +369,6 @@ impl<P: IndirectPredictor> IndirectPredictor for AttributedPredictor<P> {
             sets.record(branch, !hit);
         }
         hit
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-        self.clear_counts();
     }
 
     fn describe(&self) -> String {
@@ -490,7 +495,8 @@ mod tests {
         assert_eq!(conflicts[0].distinct_branches, 2);
         assert_eq!(conflicts[0].tally.executed, 3);
         assert!(p.describe().starts_with("attributed-"));
-        p.reset();
+        p.clear_counts();
         assert!(p.per_branch().is_empty());
+        assert!(p.set_conflicts().is_empty());
     }
 }

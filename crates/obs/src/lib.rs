@@ -10,7 +10,7 @@
 //! * [`DispatchRing`] — a bounded ring buffer of recent dispatches,
 //!   exportable as JSONL for offline analysis.
 //! * [`RunManifest`] — the provenance block (workspace version, smoke
-//!   mode, seed, `IVM_*` env overrides) attached to every report.
+//!   mode, `IVM_*` env overrides) attached to every report.
 //! * [`span`] — phase-attributed wall-time profiling of the pipeline
 //!   itself: aggregation of the span stream recorded through
 //!   `ivm_harness::span` guards into per-phase statistics (the

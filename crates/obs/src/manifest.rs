@@ -3,8 +3,8 @@
 use crate::json::Json;
 use crate::span::PhaseAgg;
 
-/// Captures how a report was produced: workspace version, smoke mode, seed
-/// and every `IVM_*` environment override in effect.
+/// Captures how a report was produced: workspace version, smoke mode and
+/// every `IVM_*` environment override in effect.
 ///
 /// Deliberately contains no timestamps or hostnames — two runs with the
 /// same inputs produce byte-identical reports, so diffs show only real
@@ -35,8 +35,6 @@ pub struct RunManifest {
     pub version: String,
     /// Whether `IVM_SMOKE` reduced workloads were in effect.
     pub smoke: bool,
-    /// The `IVM_SEED` override, if any.
-    pub seed: Option<u64>,
     /// Every `IVM_*` environment variable in effect, sorted by name.
     pub env: Vec<(String, String)>,
     /// Parallel-executor metadata, when the run used the experiment
@@ -280,7 +278,6 @@ impl RunManifest {
             report: report.to_owned(),
             version: env!("CARGO_PKG_VERSION").to_owned(),
             smoke: smoke_enabled(),
-            seed: std::env::var("IVM_SEED").ok().and_then(|v| v.trim().parse().ok()),
             env,
             executor: None,
             trace: None,
@@ -325,10 +322,6 @@ impl RunManifest {
             .with("report", self.report.as_str())
             .with("version", self.version.as_str())
             .with("smoke", self.smoke);
-        match self.seed {
-            Some(seed) => j.set("seed", seed),
-            None => j.set("seed", Json::Null),
-        };
         let env = self.env.iter().map(|(k, v)| (k.clone(), Json::Str(v.clone()))).collect();
         j.set("env", Json::Obj(env));
         if let Some(executor) = &self.executor {
@@ -364,7 +357,6 @@ mod tests {
             report: "demo".into(),
             version: "0.1.0".into(),
             smoke: true,
-            seed: Some(42),
             env: vec![("IVM_SMOKE".into(), "1".into())],
             executor: None,
             trace: None,
@@ -374,25 +366,8 @@ mod tests {
         let j = parse(&m.to_json().to_json()).unwrap();
         assert_eq!(j.get("report").and_then(Json::as_str), Some("demo"));
         assert_eq!(j.get("smoke"), Some(&Json::Bool(true)));
-        assert_eq!(j.get("seed").and_then(Json::as_f64), Some(42.0));
         assert_eq!(j.get("env").and_then(|e| e.get("IVM_SMOKE")).and_then(Json::as_str), Some("1"));
-    }
-
-    #[test]
-    fn absent_seed_is_null_not_missing() {
-        let m = RunManifest {
-            report: "demo".into(),
-            version: "0.1.0".into(),
-            smoke: false,
-            seed: None,
-            env: Vec::new(),
-            executor: None,
-            trace: None,
-            phases: None,
-            sampling: None,
-        };
-        assert_eq!(m.to_json().get("seed"), Some(&Json::Null));
-        assert_eq!(m.to_json().get("executor"), None, "no executor section when absent");
+        assert_eq!(j.get("executor"), None, "no executor section when absent");
     }
 
     #[test]

@@ -105,12 +105,6 @@ impl DispatchRing {
         self.buf.iter()
     }
 
-    /// Drops all retained records and resets the sequence counter.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.next_seq = 0;
-    }
-
     /// Serialises the retained window as JSON Lines (one record per line,
     /// oldest first, trailing newline).
     pub fn to_jsonl(&self) -> String {
@@ -230,15 +224,5 @@ mod tests {
             .collect();
         assert_eq!(seqs, vec![97.0, 98.0, 99.0], "the window is the last `capacity` dispatches");
         assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1.0), "no gaps inside the window");
-    }
-
-    #[test]
-    fn clear_resets_sequence() {
-        let mut ring = DispatchRing::new(2);
-        ring.record(0, 0, 0, 0, false);
-        ring.clear();
-        assert_eq!(ring.total_recorded(), 0);
-        ring.record(0, 0, 0, 0, false);
-        assert_eq!(ring.iter().next().unwrap().seq, 0);
     }
 }

@@ -62,9 +62,8 @@ fn dispatches(technique: Technique, iterations: usize) -> Vec<Event> {
     let program = table1_program(&spec);
     let translation = translate(&spec, &program, technique, None, SuperSelection::gforth());
     let recorder = Rc::new(RefCell::new(Recorder::default()));
-    let engine =
-        Engine::new(IdealBtb::new(), Box::new(PerfectIcache::default()), CycleCosts::celeron())
-            .with_observer(recorder.clone());
+    let engine = Engine::new(IdealBtb::new(), Box::new(PerfectIcache), CycleCosts::celeron())
+        .with_observer(recorder.clone());
     let mut m = Measurement::new(translation, engine);
     m.begin(0);
     let iteration = [(0, 1, false), (1, 2, false), (2, 3, false), (3, 0, true)];

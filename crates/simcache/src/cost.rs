@@ -29,11 +29,6 @@ impl CycleCosts {
         Self { cpi: 0.85, mispredict_penalty: 20.0, icache_miss_penalty: 27.0 }
     }
 
-    /// Prescott Pentium 4 class costs (30-cycle penalty).
-    pub fn pentium4_prescott() -> Self {
-        Self { cpi: 0.85, mispredict_penalty: 30.0, icache_miss_penalty: 27.0 }
-    }
-
     /// Athlon-1200 class costs.
     pub fn athlon() -> Self {
         Self { cpi: 0.70, mispredict_penalty: 10.0, icache_miss_penalty: 12.0 }
@@ -187,7 +182,6 @@ mod tests {
     fn penalty_presets_match_paper() {
         assert_eq!(CycleCosts::celeron().mispredict_penalty, 10.0);
         assert_eq!(CycleCosts::pentium4_northwood().mispredict_penalty, 20.0);
-        assert_eq!(CycleCosts::pentium4_prescott().mispredict_penalty, 30.0);
         assert_eq!(CycleCosts::pentium4_northwood().icache_miss_penalty, 27.0);
     }
 }

@@ -4,7 +4,6 @@ use ivm_bpred::{AnyPredictor, Btb, BtbConfig, TwoLevelConfig, TwoLevelPredictor}
 
 use crate::cost::CycleCosts;
 use crate::icache::{FetchCache, Icache, IcacheConfig};
-use crate::trace_cache::TraceCache;
 
 /// Which indirect predictor family a [`CpuSpec`] instantiates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -23,14 +22,15 @@ pub enum PredictorKind {
 ///
 /// ```
 /// use ivm_bpred::IndirectPredictor;
-/// use ivm_cache::CpuSpec;
+/// use ivm_cache::{CpuSpec, IcacheConfig};
 ///
 /// let cpu = CpuSpec::celeron800();
 /// assert_eq!(cpu.name, "celeron-800");
 /// let predictor = cpu.predictor();
-/// let icache = cpu.fetch_cache();
+/// let mut icache = cpu.fetch_cache();
 /// assert!(predictor.describe().starts_with("btb"));
-/// assert!(icache.describe().starts_with("icache"));
+/// assert_eq!(cpu.icache, IcacheConfig::celeron_l1i());
+/// assert_eq!(icache.fetch(0x1000, 32), 1); // one cold line
 /// ```
 #[derive(Debug, Clone)]
 pub struct CpuSpec {
@@ -38,9 +38,9 @@ pub struct CpuSpec {
     pub name: &'static str,
     /// Indirect branch predictor family and geometry.
     pub predictor: PredictorKind,
-    /// L1 instruction fetch structure. `None` means the P4-style trace
-    /// cache; `Some` is a conventional I-cache.
-    pub icache: Option<IcacheConfig>,
+    /// L1 instruction fetch structure: a conventional I-cache, or the
+    /// P4's trace cache modelled as one ([`IcacheConfig::pentium4_trace`]).
+    pub icache: IcacheConfig,
     /// Cycle cost constants.
     pub costs: CycleCosts,
 }
@@ -53,7 +53,7 @@ impl CpuSpec {
         Self {
             name: "celeron-800",
             predictor: PredictorKind::Btb(BtbConfig::celeron()),
-            icache: Some(IcacheConfig::celeron_l1i()),
+            icache: IcacheConfig::celeron_l1i(),
             costs: CycleCosts::celeron(),
         }
     }
@@ -64,7 +64,7 @@ impl CpuSpec {
         Self {
             name: "pentium4-northwood",
             predictor: PredictorKind::Btb(BtbConfig::pentium4()),
-            icache: None,
+            icache: IcacheConfig::pentium4_trace(),
             costs: CycleCosts::pentium4_northwood(),
         }
     }
@@ -75,7 +75,7 @@ impl CpuSpec {
         Self {
             name: "athlon-1200",
             predictor: PredictorKind::Btb(BtbConfig::new(2048, 4)),
-            icache: Some(IcacheConfig { capacity: 64 * 1024, line_size: 64, assoc: 2 }),
+            icache: IcacheConfig { capacity: 64 * 1024, line_size: 64, assoc: 2 },
             costs: CycleCosts::athlon(),
         }
     }
@@ -87,7 +87,7 @@ impl CpuSpec {
         Self {
             name: "pentium-m",
             predictor: PredictorKind::TwoLevel(TwoLevelConfig::pentium_m()),
-            icache: Some(IcacheConfig { capacity: 32 * 1024, line_size: 64, assoc: 8 }),
+            icache: IcacheConfig { capacity: 32 * 1024, line_size: 64, assoc: 8 },
             costs: CycleCosts::celeron(),
         }
     }
@@ -104,10 +104,7 @@ impl CpuSpec {
 
     /// Instantiates a fresh fetch cache of this machine's kind.
     pub fn fetch_cache(&self) -> Box<dyn FetchCache> {
-        match self.icache {
-            Some(cfg) => Box::new(Icache::new(cfg)),
-            None => Box::new(TraceCache::pentium4()),
-        }
+        Box::new(Icache::new(self.icache))
     }
 }
 
@@ -130,15 +127,16 @@ mod tests {
                 p.predict_and_update(1, 2) || matches!(cpu.predictor, PredictorKind::TwoLevel(_))
             );
             let mut ic = cpu.fetch_cache();
-            ic.fetch(0, 64);
-            assert!(ic.accesses() > 0);
+            assert!(ic.fetch(0, 64) > 0, "{}: cold fetch misses", cpu.name);
+            assert_eq!(ic.fetch(0, 64), 0, "{}: warm fetch hits", cpu.name);
         }
     }
 
     #[test]
     fn p4_uses_trace_cache() {
         let cpu = CpuSpec::pentium4_northwood();
-        assert!(cpu.fetch_cache().describe().contains("trace-cache"));
+        assert_eq!(cpu.icache, IcacheConfig::pentium4_trace());
+        assert_eq!(cpu.costs.icache_miss_penalty, 27.0, "Zhou & Ross's trace-cache miss");
     }
 
     #[test]

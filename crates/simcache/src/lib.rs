@@ -6,8 +6,8 @@
 //! ~20-cycle penalty). This crate provides the software equivalents:
 //!
 //! * [`Icache`] — a set-associative instruction cache with LRU replacement,
-//!   accessed by `(address, length)` fetch regions.
-//! * [`TraceCache`] — an approximation of the Pentium 4 trace cache: a cache
+//!   accessed by `(address, length)` fetch regions. The Pentium 4 trace
+//!   cache is one geometry of it, [`IcacheConfig::pentium4_trace`]: a cache
 //!   over decoded µop lines, with Zhou & Ross's 27-cycle miss estimate
 //!   (paper §7.3, *miss cycles*).
 //! * [`CpuSpec`] — named machine configurations bundling predictor geometry,
@@ -37,12 +37,10 @@
 mod cost;
 mod cpu;
 mod icache;
-mod trace_cache;
 
 pub use cost::{CycleCosts, PerfCounters};
 pub use cpu::{CpuSpec, PredictorKind};
 pub use icache::{FetchCache, Icache, IcacheConfig, PerfectIcache};
-pub use trace_cache::TraceCache;
 
 /// A simulated native-code address (re-exported from [`ivm_bpred`]).
 pub use ivm_bpred::Addr;

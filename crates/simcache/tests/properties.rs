@@ -3,35 +3,45 @@
 use ivm_harness::prop::{self, Source};
 use ivm_harness::{prop_assert, prop_assert_eq};
 
-use ivm_cache::{CycleCosts, FetchCache, Icache, IcacheConfig, PerfCounters, TraceCache};
+use ivm_cache::{CycleCosts, FetchCache, Icache, IcacheConfig, PerfCounters};
 
 fn accesses(src: &mut Source) -> Vec<(u64, u32)> {
     src.vec_of(1..300, |s| (s.int_in(0u64..1 << 16), s.int_in(1u32..96)))
 }
 
-fn caches() -> Vec<Box<dyn FetchCache>> {
+fn configs() -> Vec<IcacheConfig> {
     vec![
-        Box::new(Icache::new(IcacheConfig::celeron_l1i())),
-        Box::new(Icache::new(IcacheConfig { capacity: 1024, line_size: 32, assoc: 2 })),
-        Box::new(TraceCache::pentium4()),
+        IcacheConfig::celeron_l1i(),
+        IcacheConfig { capacity: 1024, line_size: 32, assoc: 2 },
+        IcacheConfig::pentium4_trace(),
     ]
 }
 
-/// Misses are monotone and bounded by line touches.
+/// Total misses, summed over the per-set counters.
+fn misses(c: &Icache) -> u64 {
+    c.set_misses().iter().sum()
+}
+
+/// Misses are bounded by line touches, and the per-set counters account
+/// for every miss a fetch reported.
 #[test]
 fn misses_bounded_by_touches() {
     prop::check("misses_bounded_by_touches", prop::Config::from_env(), |src| {
         let accesses = accesses(src);
-        for mut c in caches() {
+        for cfg in configs() {
+            let mut c = Icache::new(cfg);
             let mut total_touches = 0u64;
+            let mut reported = 0u64;
             for &(addr, len) in &accesses {
-                let misses = c.fetch(addr, len);
+                let missed = c.fetch(addr, len);
                 // A fetch of len bytes touches at most len/line + 1 lines;
                 // use a generous bound independent of geometry.
-                prop_assert!(misses <= u64::from(len) + 1, "{}", c.describe());
+                prop_assert!(missed <= u64::from(len) + 1, "{:?}", cfg);
                 total_touches += u64::from(len / 8) + 2;
+                reported += missed;
             }
-            prop_assert!(c.misses() <= total_touches);
+            prop_assert!(misses(&c) <= total_touches);
+            prop_assert_eq!(misses(&c), reported, "{:?}", cfg);
         }
         Ok(())
     });
@@ -43,25 +53,27 @@ fn immediate_repeat_hits() {
     prop::check("immediate_repeat_hits", prop::Config::from_env(), |src| {
         let addr = src.int_in(0u64..1 << 20);
         let len = src.int_in(1u32..64);
-        for mut c in caches() {
+        for cfg in configs() {
+            let mut c = Icache::new(cfg);
             c.fetch(addr, len);
-            prop_assert_eq!(c.fetch(addr, len), 0, "{}", c.describe());
+            prop_assert_eq!(c.fetch(addr, len), 0, "{:?}", cfg);
         }
         Ok(())
     });
 }
 
-/// Reset restores cold-start behaviour exactly.
+/// Two fresh caches of one geometry agree fetch by fetch: a cache's
+/// misses depend only on its geometry and the access stream.
 #[test]
-fn reset_restores_cold_start() {
-    prop::check("reset_restores_cold_start", prop::Config::from_env(), |src| {
+fn fresh_caches_agree() {
+    prop::check("fresh_caches_agree", prop::Config::from_env(), |src| {
         let accesses = accesses(src);
-        for mut c in caches() {
-            let first: Vec<u64> = accesses.iter().map(|&(a, l)| c.fetch(a, l)).collect();
-            c.reset();
-            prop_assert_eq!(c.misses(), 0);
-            let second: Vec<u64> = accesses.iter().map(|&(a, l)| c.fetch(a, l)).collect();
-            prop_assert_eq!(&first, &second, "{}", c.describe());
+        for cfg in configs() {
+            let (mut a, mut b) = (Icache::new(cfg), Icache::new(cfg));
+            let first: Vec<u64> = accesses.iter().map(|&(x, l)| a.fetch(x, l)).collect();
+            let second: Vec<u64> = accesses.iter().map(|&(x, l)| b.fetch(x, l)).collect();
+            prop_assert_eq!(&first, &second, "{:?}", cfg);
+            prop_assert_eq!(a.set_misses(), b.set_misses(), "{:?}", cfg);
         }
         Ok(())
     });
@@ -81,7 +93,7 @@ fn bigger_cache_never_worse() {
         }
         // Fully-associative LRU caches obey inclusion: more capacity can
         // only help.
-        prop_assert!(big.misses() <= small.misses());
+        prop_assert!(misses(&big) <= misses(&small));
         Ok(())
     });
 }

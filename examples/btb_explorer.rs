@@ -32,11 +32,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for (pname, make) in predictors {
         let image = bench.image();
-        let engine = Engine::new(make(), Box::new(PerfectIcache::default()), cpu.costs);
+        let engine = Engine::new(make(), Box::new(PerfectIcache), cpu.costs);
         let (plain, _) =
             ivm::core::measure_with(&image, Technique::Threaded, engine, Some(&training))?;
         let image = bench.image();
-        let engine = Engine::new(make(), Box::new(PerfectIcache::default()), cpu.costs);
+        let engine = Engine::new(make(), Box::new(PerfectIcache), cpu.costs);
         let (drepl, _) =
             ivm::core::measure_with(&image, Technique::DynamicRepl, engine, Some(&training))?;
         println!(

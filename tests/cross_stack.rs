@@ -58,7 +58,7 @@ fn two_level_predictor_shrinks_the_gap() {
         } else {
             Btb::new(BtbConfig::celeron()).into()
         };
-        let engine = Engine::new(pred, Box::new(PerfectIcache::default()), costs);
+        let engine = Engine::new(pred, Box::new(PerfectIcache), costs);
         ivm::core::measure_with(&image, tech, engine, Some(&profile)).expect("runs").0
     };
 
@@ -136,7 +136,7 @@ fn predictor_choice_only_affects_prediction_counters() {
 
     let with_pred = |pred: AnyPredictor| {
         let image = forth_image();
-        let engine = Engine::new(pred, Box::new(PerfectIcache::default()), costs);
+        let engine = Engine::new(pred, Box::new(PerfectIcache), costs);
         ivm::core::measure_with(&image, Technique::AcrossBb, engine, Some(&profile))
             .expect("runs")
             .0

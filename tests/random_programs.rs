@@ -232,7 +232,7 @@ fn run_technique(
     assert_eq!(t.validate(), program.len(), "{tech}: layout invariants");
     let engine = Engine::new(
         IdealBtb::new(),
-        Box::new(PerfectIcache::default()),
+        Box::new(PerfectIcache),
         CycleCosts { cpi: 1.0, mispredict_penalty: 10.0, icache_miss_penalty: 27.0 },
     );
     let mut m = Measurement::new(t, engine);
