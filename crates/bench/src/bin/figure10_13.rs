@@ -95,8 +95,7 @@ fn run_one(out: &mut Report, name: &str) {
 
 fn main() {
     let mut out = Report::new("figure10_13");
-    let args: Vec<String> =
-        std::env::args().skip(1).filter(|a| a != "--json" && !a.starts_with("--")).collect();
+    let args: Vec<String> = std::env::args().skip(1).filter(|a| !a.starts_with("--")).collect();
     if args.is_empty() {
         // The paper's four figures; in smoke mode one per VM suffices.
         let defaults: &[&str] =

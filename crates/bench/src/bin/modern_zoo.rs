@@ -13,7 +13,7 @@
 use ivm_bench::{frontends, predictor_registry, run_cells, smoke, trace_store, Cell, Report, Row};
 use ivm_bpred::AnyPredictor;
 use ivm_core::{simulate_many, CoverAlgorithm, ReplicaSelection, Technique};
-use ivm_obs::{ittage_breakdown_json, parse, Json};
+use ivm_obs::{ittage_breakdown_json, Json};
 
 /// The classic half of the zoo: the paper-era predictors.
 const CLASSIC: &[&str] = &["btb-celeron", "btb-p4", "btb-2bit", "two-level-pentium-m", "cascaded"];
@@ -82,11 +82,11 @@ fn build(names: &[&str]) -> Vec<AnyPredictor> {
 
 /// Everything one sweep cell computes for a `(frontend, technique)`
 /// point: per-predictor misprediction rates (classic then modern order),
-/// event count, and the ITTAGE reference breakdown as JSON text.
+/// event count, and the ITTAGE reference breakdown.
 struct SweepOut {
     rates: Vec<f64>,
     events: u64,
-    attribution: String,
+    attribution: Json,
 }
 
 fn main() {
@@ -150,7 +150,7 @@ fn main() {
             let stats = simulate_many(stored.trace(), &mut predictors);
             let attribution = predictors[modern_ref_col]
                 .ittage_breakdown()
-                .map(|bd| ittage_breakdown_json(bd).to_json())
+                .map(ittage_breakdown_json)
                 .expect("reference predictor is an ITTAGE");
             SweepOut {
                 rates: stats.iter().map(|s| 100.0 * s.misprediction_rate()).collect(),
@@ -204,10 +204,7 @@ fn main() {
             .iter()
             .zip(outs)
             .map(|(t, out)| {
-                Json::obj().with("technique", t.id()).with(
-                    MODERN_REF,
-                    parse(&out.attribution).expect("cell-rendered attribution JSON"),
-                )
+                Json::obj().with("technique", t.id()).with(MODERN_REF, out.attribution.clone())
             })
             .collect();
         fe_json.set("ittage_attribution", attrib);

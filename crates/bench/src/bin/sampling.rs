@@ -107,17 +107,6 @@ fn main() {
                     pipeline::combine(&pipeline::simulate_sampled(trace, &plan, build))
                 })
                 .collect();
-            let worst_bar = estimates.iter().map(|e| e.err_pp).fold(0.0, f64::max);
-            let worst_gap = estimates
-                .iter()
-                .zip(&full_pct)
-                .map(|(e, &f)| (e.rate_pct - f).abs())
-                .fold(0.0, f64::max);
-            pipeline::record_sampling(plan.meta_entry(
-                format!("{fname}/{bench}/threaded/i{interval_len}k{k}"),
-                worst_bar,
-                Some(worst_gap),
-            ));
             ConfigOut { interval_len, k_requested: k, k_effective: plan.k(), estimates }
         });
 

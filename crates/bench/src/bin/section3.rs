@@ -9,12 +9,11 @@
 //!
 //! Run with: `cargo run --release -p ivm-bench --bin section3`
 //!
-//! With JSON output enabled (`IVM_JSON=1` or `--json`), the report also
-//! carries an `attribution` section: the first benchmark re-run under
+//! With JSON output enabled (`IVM_JSON=1`), the report also carries an
+//! `attribution` section: the first benchmark re-run under
 //! switch/threaded/dynamic-replication dispatch with a
 //! [`DispatchAttribution`] observer attached, breaking the mispredictions
-//! down per opcode, per instance and per Celeron BTB set, plus a JSONL
-//! trace of the last dispatches per technique.
+//! down per opcode, per instance and per Celeron BTB set.
 
 use ivm_bench::{frontend, run_cells, Cell, Frontend, Report, Row};
 use ivm_bpred::BtbConfig;
@@ -23,9 +22,8 @@ use ivm_core::{Profile, Technique};
 use ivm_obs::{DispatchAttribution, Json};
 
 /// Re-runs a benchmark under `tech` with an attribution observer attached
-/// and returns the JSON breakdown (and writes the dispatch-trace JSONL
-/// next to the report). Fully frontend-generic: everything it needs comes
-/// through [`ivm_core::GuestVm`].
+/// and returns the JSON breakdown. Fully frontend-generic: everything it
+/// needs comes through [`ivm_core::GuestVm`].
 fn attribution_for(
     fe: &'static Frontend,
     name: &'static str,
@@ -33,16 +31,8 @@ fn attribution_for(
     cpu: &CpuSpec,
     training: &Profile,
 ) -> Json {
-    let sink = DispatchAttribution::new().with_btb_sets(BtbConfig::celeron()).with_ring(256);
-    let (_, attrib, breakdown) = fe.attributed_run(name, tech, cpu, training, sink);
-    if let Some(ring) = attrib.ring() {
-        let slug = tech.paper_name().replace([' ', '/'], "_");
-        let path = ivm_obs::results_json_dir().join(format!("section3_{slug}.trace.jsonl"));
-        match ring.write_jsonl(&path) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
-    }
+    let sink = DispatchAttribution::new().with_btb_sets(BtbConfig::celeron());
+    let (_, _, breakdown) = fe.attributed_run(name, tech, cpu, training, sink);
     Json::obj().with("technique", tech.paper_name()).with("dispatch", breakdown)
 }
 

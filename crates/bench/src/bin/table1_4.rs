@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release -p ivm-bench --bin table1_4`
 //!
-//! With JSON output enabled (`IVM_JSON=1` or `--json`), each replay's
+//! With JSON output enabled (`IVM_JSON=1`), each replay's
 //! steady-state iteration is also attributed per dispatch branch (via
 //! [`AttributedPredictor`]) and per Celeron BTB set, and recorded in
 //! `results/json/table1_4.json`.

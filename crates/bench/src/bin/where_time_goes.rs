@@ -14,8 +14,7 @@
 //! profiles that account for every microsecond.
 //!
 //! Wall times are machine-dependent: this report is *not* committed to
-//! `results/` and is excluded from determinism comparisons. Combine
-//! with `IVM_TRACE_JSON=1` for a Chrome trace of the same run.
+//! `results/` and is excluded from determinism comparisons.
 //!
 //! Run with: `cargo run --release -p ivm-bench --bin where_time_goes`
 

@@ -53,12 +53,11 @@
 //! single-pass sweep — committed `results/*.txt` are unchanged by this
 //! refactor.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ivm_bpred::AnyPredictor;
 use ivm_core::{DispatchTrace, IntervalIndex, SpecHasher, Technique};
 use ivm_harness::cluster::Clustering;
-use ivm_obs::{SamplingEntry, SamplingMeta};
 
 use crate::tracestore::StoredTrace;
 use crate::Row;
@@ -100,11 +99,6 @@ pub fn capture(frontend: &str, bench: &'static str, technique: Technique) -> Arc
 /// whole-run weights: the output of BBV extraction + phase clustering.
 #[derive(Debug, Clone)]
 pub struct SamplingPlan {
-    /// Events per interval slice.
-    pub interval_len: u64,
-    /// The K that was requested (clamped by the clusterer to the
-    /// interval count; [`SamplingPlan::k`] reports the effective value).
-    pub requested_k: usize,
     /// The interval slicing the plan was built from.
     pub index: IntervalIndex,
     /// The phase clustering over the normalised BBV points.
@@ -118,25 +112,6 @@ impl SamplingPlan {
     /// Effective number of clusters (representative intervals).
     pub fn k(&self) -> usize {
         self.clustering.k()
-    }
-
-    /// The manifest entry describing this plan, with the error bar the
-    /// run reported and, when a full-trace reference was also simulated,
-    /// the worst observed |sampled − full| across predictors.
-    pub fn meta_entry(
-        &self,
-        id: impl Into<String>,
-        est_err_pp: f64,
-        exact_err_pp: Option<f64>,
-    ) -> SamplingEntry {
-        SamplingEntry::new(
-            id,
-            self.interval_len,
-            self.index.len() as u64,
-            &self.weights,
-            est_err_pp,
-            exact_err_pp,
-        )
     }
 }
 
@@ -166,7 +141,7 @@ pub fn plan(trace: &DispatchTrace, interval_len: u64, k: usize) -> SamplingPlan 
     }
     let weights =
         events.iter().map(|&e| if total > 0 { e as f64 / total as f64 } else { 0.0 }).collect();
-    SamplingPlan { interval_len, requested_k: k, index, clustering, weights }
+    SamplingPlan { index, clustering, weights }
 }
 
 // ---------------------------------------------------------------------------
@@ -329,31 +304,6 @@ pub fn error_rows(names: &[&str], full_pct: &[f64], estimates: &[Estimate]) -> V
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// Manifest plumbing
-// ---------------------------------------------------------------------------
-
-/// Process-wide sampling metadata, merged into the report manifest.
-static SAMPLING_META: Mutex<Option<SamplingMeta>> = Mutex::new(None);
-
-/// Records one sampled workload's summary for the report manifest's
-/// `sampling` section (entries appear in recording order, which under a
-/// parallel executor is nondeterministic — `check_determinism.py` strips
-/// the section).
-pub fn record_sampling(entry: SamplingEntry) {
-    SAMPLING_META
-        .lock()
-        .expect("sampling metadata lock")
-        .get_or_insert_with(SamplingMeta::default)
-        .absorb(entry);
-}
-
-/// The sampling metadata accumulated so far, if any sampled runs were
-/// recorded. Attached to report manifests by [`crate::Report::finish`].
-pub fn sampling_meta() -> Option<SamplingMeta> {
-    SAMPLING_META.lock().expect("sampling metadata lock").clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,17 +394,5 @@ mod tests {
         let rows = error_rows(&["btb"], &[2.4], &[est]);
         assert_eq!(rows[0].label, "btb");
         assert_eq!(rows[0].values, vec![2.4, 2.5, 2.5 - 2.4, 0.3]);
-    }
-
-    #[test]
-    fn meta_entry_round_trips_through_micro_units() {
-        let t = two_phase_trace(300);
-        let p = plan(&t, 100, 2);
-        let e = p.meta_entry("f/b/t", 0.5, Some(0.125));
-        assert_eq!(e.interval_len, 100);
-        assert_eq!(e.intervals, 6);
-        assert_eq!(e.k, p.k());
-        assert_eq!(e.est_err_upp, 500_000);
-        assert_eq!(e.exact_err_upp, Some(125_000));
     }
 }

@@ -3,20 +3,19 @@
 //! Every binary builds one [`Report`], routes its tables through
 //! [`Report::table`] (which prints exactly what [`crate::print_table`]
 //! prints, keeping `results/*.txt` byte-stable) and calls
-//! [`Report::finish`] at the end. When JSON output is enabled —
-//! `IVM_JSON=1` or a `--json` CLI flag — the report is written to
-//! `results/json/<name>.json` with a [`RunManifest`] attached; otherwise
-//! the sink is free.
+//! [`Report::finish`] at the end. When JSON output is enabled
+//! (`IVM_JSON=1`), the report is written to `results/json/<name>.json`
+//! with a [`RunManifest`] attached; otherwise the sink is free. That file
+//! is the only one a report run writes about itself.
 
 use ivm_obs::{Json, RunManifest};
 
 use crate::Row;
 
 /// True when JSON report output was requested via `IVM_JSON` (set and not
-/// `"0"`) or a `--json` process argument.
+/// `"0"`).
 pub fn json_enabled() -> bool {
     std::env::var("IVM_JSON").is_ok_and(|v| v != "0")
-        || std::env::args().skip(1).any(|a| a == "--json")
 }
 
 /// Collects one binary's tables and extra sections, and writes
@@ -91,7 +90,6 @@ impl Report {
             .with_executor(crate::executor_meta())
             .with_trace(crate::trace_meta())
             .with_phases(Some(phases))
-            .with_sampling(crate::pipeline::sampling_meta())
             .to_json();
         let mut doc = Json::obj().with("manifest", manifest);
         doc.set("tables", Json::Arr(self.tables.clone()));
@@ -102,38 +100,15 @@ impl Report {
     }
 
     /// Writes `results/json/<name>.json` when enabled (a no-op
-    /// otherwise), and — independently, under `IVM_TRACE_JSON=1` — the
-    /// Chrome trace-event export `results/json/<name>.trace.json`.
-    /// Write failures are reported on stderr but do not abort the binary —
-    /// the text output already happened.
+    /// otherwise). Write failures are reported on stderr but do not abort
+    /// the binary — the text output already happened.
     pub fn finish(self) {
-        if ivm_obs::span::trace_json_enabled() {
-            self.write_chrome_trace();
-        }
         if !self.enabled {
             return;
         }
         let dir = ivm_obs::results_json_dir();
         let path = dir.join(format!("{}.json", self.name));
         let doc = format!("{}\n", self.to_json());
-        let write = || -> std::io::Result<()> {
-            std::fs::create_dir_all(&dir)?;
-            std::fs::write(&path, doc.as_bytes())
-        };
-        match write() {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
-    }
-
-    /// Writes `results/json/<name>.trace.json`: every span recorded so
-    /// far as a Chrome trace-event document, one track per executor
-    /// worker (load it in Perfetto or `chrome://tracing`).
-    fn write_chrome_trace(&self) {
-        let records = ivm_obs::span::snapshot();
-        let doc = format!("{}\n", ivm_obs::span::chrome_trace(&records, &self.name));
-        let dir = ivm_obs::results_json_dir();
-        let path = dir.join(format!("{}.trace.json", self.name));
         let write = || -> std::io::Result<()> {
             std::fs::create_dir_all(&dir)?;
             std::fs::write(&path, doc.as_bytes())

@@ -1,10 +1,9 @@
 //! Smoke test: every bin target in `src/bin/` must run end to end on the
 //! reduced `IVM_SMOKE` workload, exit successfully, print at least one
-//! parseable table row, and (with `IVM_JSON=1 IVM_TRACE_JSON=1`) write a
-//! JSON report that parses, carries a matching run manifest with a
-//! phase-time section, and a Chrome trace-event file that round-trips
-//! through the in-tree parser. This is what keeps the 18 report
-//! harnesses honest between full `results/` regenerations.
+//! parseable table row, and (with `IVM_JSON=1`) write exactly one file,
+//! a JSON report that parses and carries a matching run manifest with a
+//! phase-time section. This is what keeps the 18 report harnesses honest
+//! between full `results/` regenerations.
 
 use std::process::Command;
 
@@ -56,7 +55,6 @@ fn run_smoke(name: &str, path: &str) -> Result<(), String> {
     let out = Command::new(path)
         .env("IVM_SMOKE", "1")
         .env("IVM_JSON", "1")
-        .env("IVM_TRACE_JSON", "1")
         .env("IVM_JSON_DIR", &json_dir)
         .output()
         .map_err(|e| format!("{name}: failed to spawn: {e}"))?;
@@ -76,9 +74,18 @@ fn run_smoke(name: &str, path: &str) -> Result<(), String> {
     result
 }
 
-/// The JSON report must exist, parse, and carry a manifest naming this
-/// binary with smoke mode recorded.
+/// The JSON report must be the only file the run wrote, parse, and carry
+/// a manifest naming this binary with smoke mode recorded.
 fn check_json_report(name: &str, json_dir: &std::path::Path) -> Result<(), String> {
+    let mut written: Vec<String> = std::fs::read_dir(json_dir)
+        .map_err(|e| format!("{name}: no JSON directory {}: {e}", json_dir.display()))?
+        .map(|entry| entry.map(|e| e.file_name().to_string_lossy().into_owned()))
+        .collect::<Result<_, _>>()
+        .map_err(|e| format!("{name}: unreadable JSON directory: {e}"))?;
+    written.sort();
+    if written != [format!("{name}.json")] {
+        return Err(format!("{name}: expected only {name}.json, the run wrote {written:?}"));
+    }
     let path = json_dir.join(format!("{name}.json"));
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("{name}: missing JSON report {}: {e}", path.display()))?;
@@ -104,52 +111,7 @@ fn check_json_report(name: &str, json_dir: &std::path::Path) -> Result<(), Strin
         other => return Err(format!("{name}: executor section has bad job count {other:?}")),
     }
     check_phases_section(name, manifest)?;
-    check_chrome_trace(name, json_dir)?;
-    check_trace_section(name, manifest)?;
-    check_sampling_section(name, manifest)
-}
-
-/// The sampling bin records every sweep configuration in the manifest's
-/// `sampling` section: one workload entry per `(workload, interval, K)`
-/// with normalised cluster weights and a positive error bar.
-fn check_sampling_section(name: &str, manifest: &Json) -> Result<(), String> {
-    if name != "sampling" {
-        return Ok(());
-    }
-    let workloads = manifest
-        .get("sampling")
-        .and_then(|s| s.get("workloads"))
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{name}: manifest has no sampling.workloads array"))?;
-    if workloads.is_empty() {
-        return Err(format!("{name}: sampling section records no workloads"));
-    }
-    for w in workloads {
-        let id = w
-            .get("id")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{name}: sampling entry without an id: {w}"))?;
-        let field = |key: &str| {
-            w.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("{name}: sampling entry {id:?} has no numeric {key:?}"))
-        };
-        if field("interval_len")? < 1.0 || field("k")? < 1.0 {
-            return Err(format!("{name}: sampling entry {id:?} has a degenerate plan"));
-        }
-        if field("est_err_pp")? <= 0.0 {
-            return Err(format!("{name}: sampling entry {id:?} reports no error bar"));
-        }
-        let weights = w
-            .get("weights")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{name}: sampling entry {id:?} has no weights array"))?;
-        let sum: f64 = weights.iter().filter_map(Json::as_f64).sum();
-        if (sum - 1.0).abs() > 1e-3 {
-            return Err(format!("{name}: sampling entry {id:?} weights sum to {sum}, not 1"));
-        }
-    }
-    Ok(())
+    check_trace_section(name, manifest)
 }
 
 /// Every binary routes work through span-instrumented phases, so the
@@ -185,37 +147,6 @@ fn check_phases_section(name: &str, manifest: &Json) -> Result<(), String> {
                 "{name}: phase {pname:?} times are inconsistent \
                  (total {total}, self {own}, in-cell {in_cell})"
             ));
-        }
-    }
-    Ok(())
-}
-
-/// Under `IVM_TRACE_JSON=1` every binary must write a Chrome trace-event
-/// export that parses with the in-tree parser, where every event is a
-/// complete (`"ph": "X"`) event carrying `ts`, `dur`, `pid` and `tid`.
-fn check_chrome_trace(name: &str, json_dir: &std::path::Path) -> Result<(), String> {
-    let path = json_dir.join(format!("{name}.trace.json"));
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("{name}: missing Chrome trace {}: {e}", path.display()))?;
-    let doc = ivm_obs::parse(&text).map_err(|e| format!("{name}: invalid Chrome trace: {e}"))?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{name}: Chrome trace has no traceEvents array"))?;
-    if events.is_empty() {
-        return Err(format!("{name}: Chrome trace has no events"));
-    }
-    for event in events {
-        if event.get("ph").and_then(Json::as_str) != Some("X") {
-            return Err(format!("{name}: trace event is not a complete event: {event}"));
-        }
-        if event.get("name").and_then(Json::as_str).is_none() {
-            return Err(format!("{name}: trace event without a name: {event}"));
-        }
-        for key in ["ts", "dur", "pid", "tid"] {
-            if event.get(key).and_then(Json::as_f64).is_none() {
-                return Err(format!("{name}: trace event has no numeric {key:?}: {event}"));
-            }
         }
     }
     Ok(())

@@ -466,7 +466,7 @@ impl DispatchTrace {
         let count = u64::from_le_bytes(r.take(8)?.try_into().expect("8 bytes"));
         // Guard allocation: a corrupt count cannot ask for more events than
         // the remaining bytes could possibly encode (>= 2 bytes per event).
-        if count / 2 > r.bytes.len() as u64 {
+        if count > (bytes.len() - r.pos) as u64 / 2 {
             return Err(DtraceError::Truncated);
         }
         let mut events = Vec::with_capacity(count as usize);
@@ -654,10 +654,24 @@ mod tests {
     }
 
     #[test]
+    fn event_count_beyond_the_remaining_bytes_is_rejected_before_decoding() {
+        // 11 events need at least 22 bytes; only 20 follow the header. The
+        // bound is the bytes left after the header, not the whole buffer.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&DTRACE_MAGIC);
+        bytes.extend_from_slice(&DTRACE_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&11u64.to_le_bytes());
+        bytes.extend_from_slice(&[0x80; 20]);
+        assert_eq!(DispatchTrace::from_bytes(&bytes), Err(DtraceError::Truncated));
+    }
+
+    #[test]
     fn observer_hook_appends_the_predictor_view() {
         let mut batch = DispatchBatch::default();
-        batch.push(3, 4, 0x100, 0x200, true);
-        batch.push(4, 5, 0x110, 0x210, false);
+        batch.push(3, 0x100, 0x200, true);
+        batch.push(4, 0x110, 0x210, false);
         let mut t = DispatchTrace::new(0, "threaded");
         t.dispatch_batch(&batch);
         assert_eq!(t.iter().collect::<Vec<_>>(), vec![(0x100, 0x200), (0x110, 0x210)]);
@@ -683,16 +697,16 @@ mod tests {
     #[test]
     fn dispatch_batch_capture_matches_per_event_capture() {
         let mut first = DispatchBatch::default();
-        first.push(1, 2, 0x100, 0x200, true);
-        first.push(2, 3, 0x110, 0x210, false);
+        first.push(1, 0x100, 0x200, true);
+        first.push(2, 0x110, 0x210, false);
         let mut second = DispatchBatch::default();
-        second.push(3, 1, 0x100, 0x200, false);
+        second.push(3, 0x100, 0x200, false);
 
         let mut batched = DispatchTrace::new(0, "threaded");
         batched.dispatch_batch(&first);
         batched.dispatch_batch(&second);
         let mut stepped = DispatchTrace::new(0, "threaded");
-        for (_, _, b, tg, _) in first.iter().chain(second.iter()) {
+        for (_, b, tg, _) in first.iter().chain(second.iter()) {
             stepped.push(b, tg);
         }
         assert_eq!(batched, stepped, "consecutive batches append in execution order");

@@ -14,14 +14,14 @@ use crate::translate::Translation;
 /// Events the engine batches before handing them to its observer.
 ///
 /// Large enough to amortise the per-flush `RefCell` borrow and virtual
-/// call over ~1k dispatches, small enough (~33 KiB of parallel arrays)
+/// call over ~1k dispatches, small enough (~25 KiB of parallel arrays)
 /// to stay cache-resident next to the predictor tables.
 const BATCH_CAPACITY: usize = 1024;
 
 /// A struct-of-arrays batch of dispatch events.
 ///
 /// The [`Engine`] accumulates every observed dispatch —
-/// `(from, to, branch, target, mispredicted)` — into these parallel
+/// `(from, branch, target, mispredicted)` — into these parallel
 /// arrays and hands the whole batch to the observer in one
 /// [`DispatchObserver::dispatch_batch`] call, instead of paying a
 /// `RefCell` borrow plus a virtual call per dispatch. Observers consume
@@ -30,7 +30,6 @@ const BATCH_CAPACITY: usize = 1024;
 #[derive(Debug, Clone, Default)]
 pub struct DispatchBatch {
     from: Vec<usize>,
-    to: Vec<usize>,
     branches: Vec<Addr>,
     targets: Vec<Addr>,
     mispredicted: Vec<bool>,
@@ -39,9 +38,8 @@ pub struct DispatchBatch {
 impl DispatchBatch {
     /// Appends one dispatch event.
     #[inline]
-    pub fn push(&mut self, from: usize, to: usize, branch: Addr, target: Addr, miss: bool) {
+    pub fn push(&mut self, from: usize, branch: Addr, target: Addr, miss: bool) {
         self.from.push(from);
-        self.to.push(to);
         self.branches.push(branch);
         self.targets.push(target);
         self.mispredicted.push(miss);
@@ -60,7 +58,6 @@ impl DispatchBatch {
     /// Drops all events, keeping the allocations.
     fn clear(&mut self) {
         self.from.clear();
-        self.to.clear();
         self.branches.clear();
         self.targets.clear();
         self.mispredicted.clear();
@@ -87,21 +84,19 @@ impl DispatchBatch {
     }
 
     /// The batched events in execution order, row at a time:
-    /// `(from, to, branch, target, mispredicted)`.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, Addr, Addr, bool)> + '_ {
-        (0..self.len()).map(|i| {
-            (self.from[i], self.to[i], self.branches[i], self.targets[i], self.mispredicted[i])
-        })
+    /// `(from, branch, target, mispredicted)`.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, Addr, Addr, bool)> + '_ {
+        (0..self.len())
+            .map(|i| (self.from[i], self.branches[i], self.targets[i], self.mispredicted[i]))
     }
 }
 
 /// Observes every simulated indirect dispatch with full context.
 ///
 /// For each event, `from` is the instance whose code owns the dispatch
-/// branch (for pre-dispatch stubs such as switch dispatch it equals `to`,
-/// the instance being entered), `branch`/`target` are the simulated
-/// native addresses fed to the predictor, and `mispredicted` is the
-/// predictor's verdict. An observer sees exactly the dispatches counted
+/// branch (for pre-dispatch stubs such as switch dispatch, the instance
+/// being entered), `branch`/`target` are the simulated native addresses
+/// fed to the predictor, and `mispredicted` is the predictor's verdict. An observer sees exactly the dispatches counted
 /// in [`ivm_cache::PerfCounters::dispatches`], in execution order —
 /// attribution sinks (see the `ivm-obs` crate) build per-opcode and
 /// per-BTB-set breakdowns from this stream.
@@ -201,14 +196,14 @@ impl Engine {
         }
     }
 
-    fn indirect(&mut self, from: usize, to: usize, branch: Addr, target: Addr) {
+    fn indirect(&mut self, from: usize, branch: Addr, target: Addr) {
         self.counters.indirect_branches += 1;
         let hit = self.predictor.predict_and_update(branch, target);
         if !hit {
             self.counters.indirect_mispredicted += 1;
         }
         if self.observer.is_some() {
-            self.batch.push(from, to, branch, target, !hit);
+            self.batch.push(from, branch, target, !hit);
             if self.batch.len() == BATCH_CAPACITY {
                 self.flush_observer();
             }
@@ -318,8 +313,8 @@ impl Measurement {
                 self.engine.fetch_code(pre.fetch.0, pre.fetch.1);
                 self.engine.counters.dispatches += 1;
                 // A pre-dispatch stub is accounted to the instance it
-                // enters, so `from == to == i`.
-                self.engine.indirect(i, i, pre.branch, pre.target);
+                // enters.
+                self.engine.indirect(i, pre.branch, pre.target);
             }
         }
         let v = self.view(i);
@@ -385,7 +380,7 @@ impl VmEvents for Measurement {
             self.engine.retire(dp.instrs);
             self.engine.fetch_code(dp.fetch.0, dp.fetch.1);
             self.engine.counters.dispatches += 1;
-            self.engine.indirect(from, to, dp.branch, target);
+            self.engine.indirect(from, dp.branch, target);
         }
         self.enter(to);
         self.apply_pending(from);
@@ -416,7 +411,7 @@ mod tests {
     /// Every delivered event in order, plus the number of batches.
     #[derive(Default)]
     struct Log {
-        events: Vec<(usize, usize, Addr, Addr, bool)>,
+        events: Vec<(usize, Addr, Addr, bool)>,
         batches: usize,
     }
 
@@ -431,16 +426,13 @@ mod tests {
     fn observer_sees_every_dispatch_with_verdict() {
         let log = Rc::new(RefCell::new(Log::default()));
         let mut e = engine().with_observer(log.clone());
-        e.indirect(0, 1, 100, 7); // cold: miss
-        e.indirect(0, 1, 100, 7); // warm, monomorphic: hit
-        e.indirect(0, 2, 100, 8); // target changed: miss
+        e.indirect(0, 100, 7); // cold: miss
+        e.indirect(0, 100, 7); // warm, monomorphic: hit
+        e.indirect(0, 100, 8); // target changed: miss
         assert!(log.borrow().events.is_empty(), "events stay batched until a flush");
         e.flush_observer();
         let seen = log.borrow();
-        assert_eq!(
-            seen.events,
-            vec![(0, 1, 100, 7, true), (0, 1, 100, 7, false), (0, 2, 100, 8, true)]
-        );
+        assert_eq!(seen.events, vec![(0, 100, 7, true), (0, 100, 7, false), (0, 100, 8, true)]);
         assert_eq!(e.counters.indirect_mispredicted, 2, "counters agree with observer");
         assert!(format!("{e:?}").contains("custom"), "Debug names the machine");
     }
@@ -451,7 +443,7 @@ mod tests {
         let mut e = engine().with_observer(log.clone());
         let n = 2 * BATCH_CAPACITY + 2;
         for i in 0..n {
-            e.indirect(i, 0, 50 + i as u64, 7);
+            e.indirect(i, 50 + i as u64, 7);
         }
         assert_eq!(log.borrow().batches, 2, "two full batches flushed mid-run");
         assert_eq!(log.borrow().events.len(), 2 * BATCH_CAPACITY);
@@ -459,7 +451,7 @@ mod tests {
         assert_eq!(log.borrow().batches, 3, "the 2-event remainder flushed at the end");
         let seen = &log.borrow().events;
         assert_eq!(seen.len(), n);
-        for (i, &(f, _, b, _, m)) in seen.iter().enumerate() {
+        for (i, &(f, b, _, m)) in seen.iter().enumerate() {
             assert_eq!((f, b), (i, 50 + i as u64), "event {i} out of order");
             assert!(m, "distinct cold branches all mispredict");
         }

@@ -30,10 +30,9 @@
 //!   so representative-interval selection reproduces byte-for-byte.
 //! * [`span`] — low-overhead wall-time span tracing (scoped guards,
 //!   monotonic clocks, thread-local stacks). The primitive under
-//!   `ivm-obs::span`'s phase attribution and Chrome-trace export; it
-//!   lives here so `ivm-core`'s measurement pipeline and the [`par`]
-//!   executor can open spans without depending on the observability
-//!   crate.
+//!   `ivm-obs::span`'s phase attribution; it lives here so `ivm-core`'s
+//!   measurement pipeline and the [`par`] executor can open spans
+//!   without depending on the observability crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -78,9 +78,6 @@ pub fn jobs() -> usize {
 pub struct CellStat {
     /// The cell's id.
     pub id: String,
-    /// Index of the worker that ran the cell (0 for serial runs). Not
-    /// deterministic across runs — diagnostics only.
-    pub worker: usize,
     /// Wall time the cell's closure took.
     pub wall: Duration,
 }
@@ -94,26 +91,6 @@ pub struct ExecStats {
     pub wall: Duration,
     /// Per-cell wall times, in canonical cell order.
     pub cells: Vec<CellStat>,
-}
-
-impl ExecStats {
-    /// Estimated serial wall time: the sum of all cell wall times (what a
-    /// single worker would have paid, ignoring scheduling overhead).
-    #[must_use]
-    pub fn serial_estimate(&self) -> Duration {
-        self.cells.iter().map(|c| c.wall).sum()
-    }
-
-    /// Estimated speedup over serial execution: serial estimate divided
-    /// by the batch wall time.
-    #[must_use]
-    pub fn speedup_estimate(&self) -> f64 {
-        let wall = self.wall.as_secs_f64();
-        if wall <= 0.0 {
-            return 1.0;
-        }
-        self.serial_estimate().as_secs_f64() / wall
-    }
 }
 
 /// A cell failed: the experiment must not report partial tables.
@@ -176,22 +153,19 @@ where
     let outcomes = if jobs == 1 {
         // Serial path: run on the calling thread in submission order —
         // byte-for-byte the pre-executor behaviour of the report binaries.
-        cells.iter().map(|cell| execute(cell, 0, &f)).collect()
+        cells.iter().map(|cell| execute(cell, &f)).collect()
     } else {
         let slots: Vec<Mutex<Option<Outcome<R>>>> =
             cells.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            for worker in 0..jobs {
+            for _ in 0..jobs {
                 let (next, slots, f) = (&next, &slots, &f);
                 scope.spawn(move || {
-                    // Span tracks are 1-based per worker; track 0 is the
-                    // calling thread (which runs the serial path itself).
-                    crate::span::set_track(worker as u32 + 1);
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(cell) = cells.get(i) else { break };
-                        let outcome = execute(cell, worker, f);
+                        let outcome = execute(cell, f);
                         *slots[i].lock().expect("slot lock") = Some(outcome);
                     }
                     crate::span::flush();
@@ -231,7 +205,7 @@ struct Outcome<R> {
     result: Result<R, String>,
 }
 
-fn execute<T, R, F>(cell: &Cell<T>, worker: usize, f: &F) -> Outcome<R>
+fn execute<T, R, F>(cell: &Cell<T>, f: &F) -> Outcome<R>
 where
     F: Fn(&Cell<T>, &mut CellCtx) -> R,
 {
@@ -248,7 +222,7 @@ where
             .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
             .unwrap_or_else(|| "non-string panic payload".to_owned())
     });
-    Outcome { stat: CellStat { id: cell.id.clone(), worker, wall: start.elapsed() }, result }
+    Outcome { stat: CellStat { id: cell.id.clone(), wall: start.elapsed() }, result }
 }
 
 #[cfg(test)]
@@ -300,7 +274,7 @@ mod tests {
         let cells: Vec<Cell<u8>> = (0..5).map(|i| Cell::new(format!("s{i}"), i)).collect();
         let (_, stats) = run_cells_with(2, &cells, |c, _| c.input).expect("ok");
         assert_eq!(stats.cells.len(), 5);
-        assert!(stats.serial_estimate() <= stats.wall * 5, "sane magnitudes");
-        assert!(stats.speedup_estimate() >= 0.0);
+        let cell_walls: Duration = stats.cells.iter().map(|c| c.wall).sum();
+        assert!(cell_walls <= stats.wall * 2, "two workers cannot overlap more than two cells");
     }
 }

@@ -8,29 +8,20 @@
 //! entering and leaving a span takes two `Instant::now()` calls and a
 //! `Vec` push, no locks — and are moved to a process-wide sink by
 //! [`flush`] (which [`snapshot`] calls for its own thread) or, as a last
-//! resort, when the thread exits. The aggregation and
-//! Chrome-trace export layers live in `ivm-obs::span`; this module sits
-//! in `ivm-harness` because both `ivm-core`'s measurement pipeline and
-//! the [`crate::par`] executor below `ivm-obs` need to open spans.
+//! resort, when the thread exits. The aggregation layer lives in
+//! `ivm-obs::span`; this module sits in `ivm-harness` because both
+//! `ivm-core`'s measurement pipeline and the [`crate::par`] executor
+//! below `ivm-obs` need to open spans.
 //!
 //! Timing is wall-clock and therefore *not* deterministic; nothing in
 //! this module may influence simulated results. Spans carry no payload
-//! besides a `&'static str` phase name (so recording never allocates
-//! per-span strings) plus the track they ran on: track 0 is the calling
-//! thread, tracks `1..=jobs` are the parallel executor's workers (see
-//! [`set_track`]), which is what gives the Chrome export one lane per
-//! worker.
-//!
-//! Tracing is on by default and cheap enough to leave on — a guard pair
-//! costs tens of nanoseconds against experiment cells that run for
-//! hundreds of microseconds. [`set_enabled`] exists for differential
-//! tests that prove instrumentation changes no measured statistic, and
-//! `IVM_SPANS=0` in the environment disables recording for a whole
-//! process so the same proof can run over report binaries byte-for-byte.
+//! besides a `&'static str` phase name, so recording never allocates
+//! per-span strings. Tracing is always on: a guard pair costs tens of
+//! nanoseconds against experiment cells that run for hundreds of
+//! microseconds.
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -43,10 +34,7 @@ pub struct SpanRecord {
     /// to `name` for root spans). Lets aggregators attribute time to
     /// "inside an executor cell" versus main-thread work.
     pub root: &'static str,
-    /// Track the span ran on: 0 for the calling thread, `1..=jobs` for
-    /// parallel executor workers.
-    pub track: u32,
-    /// Nesting depth below the track's root span (0 = root).
+    /// Nesting depth below the thread's root span (0 = root).
     pub depth: u16,
     /// Start offset from the process trace epoch, in microseconds.
     pub start_us: u64,
@@ -55,28 +43,6 @@ pub struct SpanRecord {
     /// Duration minus the summed durations of direct children — the
     /// time spent in this phase itself.
     pub self_us: u64,
-}
-
-/// Whether span recording is active (default: yes).
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Turns span recording on or off process-wide. Guards opened while
-/// enabled still close correctly after disabling, and vice versa.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// True when `IVM_SPANS=0` disabled recording for the whole process
-/// (checked once; differential harnesses use it on subprocesses).
-fn env_disabled() -> bool {
-    static OFF: OnceLock<bool> = OnceLock::new();
-    *OFF.get_or_init(|| std::env::var("IVM_SPANS").is_ok_and(|v| v == "0"))
-}
-
-/// True when span recording is active.
-#[must_use]
-pub fn enabled() -> bool {
-    !env_disabled() && ENABLED.load(Ordering::Relaxed)
 }
 
 /// The process-wide sink finished spans are flushed into.
@@ -104,14 +70,13 @@ struct Frame {
 /// Per-thread span state: the open-span stack and the finished-span
 /// buffer, flushed to the process sink when the thread exits.
 struct ThreadState {
-    track: u32,
     stack: Vec<Frame>,
     done: Vec<SpanRecord>,
 }
 
 impl ThreadState {
     const fn new() -> Self {
-        Self { track: 0, stack: Vec::new(), done: Vec::new() }
+        Self { stack: Vec::new(), done: Vec::new() }
     }
 
     fn flush(&mut self) {
@@ -133,19 +98,9 @@ thread_local! {
     static STATE: RefCell<ThreadState> = const { RefCell::new(ThreadState::new()) };
 }
 
-/// Assigns the current thread's track id. The parallel executor calls
-/// this with `worker + 1` on each worker thread; the calling thread
-/// stays on track 0.
-pub fn set_track(track: u32) {
-    STATE.with(|s| s.borrow_mut().track = track);
-}
-
 /// Opens a span named `name`, closed (and recorded) when the returned
-/// guard drops. Returns an inert guard when tracing is disabled.
+/// guard drops.
 pub fn enter(name: &'static str) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { active: false, _not_send: PhantomData };
-    }
     // Pin the epoch before reading the clock so no span can start
     // before it.
     let _ = epoch();
@@ -155,22 +110,18 @@ pub fn enter(name: &'static str) -> SpanGuard {
         let root = st.stack.first().map_or(name, |f| f.root);
         st.stack.push(Frame { name, root, start, child_us: 0 });
     });
-    SpanGuard { active: true, _not_send: PhantomData }
+    SpanGuard { _not_send: PhantomData }
 }
 
 /// Closes its span on drop. `!Send` by construction: a span must close
 /// on the thread that opened it, or the thread-local stacks would tear.
 #[must_use = "a span guard times the scope it lives in; dropping it immediately records an empty span"]
 pub struct SpanGuard {
-    active: bool,
     _not_send: PhantomData<*const ()>,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
         let end = Instant::now();
         STATE.with(|s| {
             let mut st = s.borrow_mut();
@@ -184,7 +135,6 @@ impl Drop for SpanGuard {
             let record = SpanRecord {
                 name: frame.name,
                 root: frame.root,
-                track: st.track,
                 depth,
                 start_us,
                 dur_us,
@@ -207,7 +157,7 @@ pub fn flush() {
 
 /// Flushes the current thread's finished spans into the process sink
 /// and returns a copy of everything collected so far, ordered by
-/// `(track, start_us, depth)` so consumers see a stable layout.
+/// `(start_us, depth)` so consumers see a stable layout.
 /// Worker-thread spans are present once their threads called [`flush`],
 /// which the parallel executor's workers do before they exit.
 /// Records are copied, not drained: later callers see them too.
@@ -215,7 +165,7 @@ pub fn flush() {
 pub fn snapshot() -> Vec<SpanRecord> {
     flush();
     let mut records = sink().lock().map(|g| g.clone()).unwrap_or_default();
-    records.sort_by_key(|r| (r.track, r.start_us, r.depth));
+    records.sort_by_key(|r| (r.start_us, r.depth));
     records
 }
 
@@ -256,11 +206,10 @@ mod tests {
     }
 
     #[test]
-    fn worker_threads_flush_on_exit_with_their_track() {
+    fn worker_threads_flush_before_exit() {
         std::thread::scope(|scope| {
-            for worker in 0..3u32 {
-                scope.spawn(move || {
-                    set_track(worker + 1);
+            for _ in 0..3 {
+                scope.spawn(|| {
                     {
                         let _g = enter("test-span-worker");
                     }
@@ -269,9 +218,8 @@ mod tests {
             }
         });
         let spans = snapshot();
-        let tracks: std::collections::BTreeSet<u32> =
-            spans.iter().filter(|s| s.name == "test-span-worker").map(|s| s.track).collect();
-        assert_eq!(tracks, [1, 2, 3].into(), "one track per worker");
+        let workers = spans.iter().filter(|s| s.name == "test-span-worker").count();
+        assert_eq!(workers, 3, "every worker's span is in the sink");
     }
 
     #[test]
@@ -289,8 +237,8 @@ mod tests {
         );
         for w in second.windows(2) {
             assert!(
-                (w[0].track, w[0].start_us, w[0].depth) <= (w[1].track, w[1].start_us, w[1].depth),
-                "snapshot order is (track, start, depth)"
+                (w[0].start_us, w[0].depth) <= (w[1].start_us, w[1].depth),
+                "snapshot order is (start, depth)"
             );
         }
     }

@@ -23,7 +23,6 @@ use ivm_bpred::{Addr, BtbConfig, IndirectPredictor};
 use ivm_core::{DispatchBatch, DispatchObserver, Translation};
 
 use crate::json::Json;
-use crate::ring::DispatchRing;
 
 /// An `(executed, mispredicted)` pair.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -143,7 +142,6 @@ impl SetStats {
 pub struct DispatchAttribution {
     per_instance: Vec<Tally>,
     sets: Option<SetStats>,
-    ring: Option<DispatchRing>,
 }
 
 impl DispatchAttribution {
@@ -159,14 +157,6 @@ impl DispatchAttribution {
     #[must_use]
     pub fn with_btb_sets(mut self, cfg: BtbConfig) -> Self {
         self.sets = Some(SetStats::new(cfg));
-        self
-    }
-
-    /// Also retain the last `capacity` dispatches in a ring buffer for
-    /// JSONL export.
-    #[must_use]
-    pub fn with_ring(mut self, capacity: usize) -> Self {
-        self.ring = Some(DispatchRing::new(capacity));
         self
     }
 
@@ -228,11 +218,6 @@ impl DispatchAttribution {
         self.sets.as_ref().map(SetStats::conflicts).unwrap_or_default()
     }
 
-    /// The dispatch ring, if enabled.
-    pub fn ring(&self) -> Option<&DispatchRing> {
-        self.ring.as_ref()
-    }
-
     /// Serialises the attribution breakdown; pass the run's opcode name
     /// per instance to include the per-opcode view.
     ///
@@ -261,14 +246,6 @@ impl DispatchAttribution {
         if let Some(sets) = &self.sets {
             out.set("btb_sets", sets.to_json());
         }
-        if let Some(ring) = &self.ring {
-            out.set(
-                "ring",
-                Json::obj()
-                    .with("retained", ring.len())
-                    .with("total_recorded", ring.total_recorded()),
-            );
-        }
         out
     }
 }
@@ -276,8 +253,7 @@ impl DispatchAttribution {
 impl DispatchObserver for DispatchAttribution {
     fn dispatch_batch(&mut self, batch: &DispatchBatch) {
         // Grow the per-instance table once for the whole batch, then tally
-        // straight out of the columnar arrays. Event order inside a batch
-        // is dispatch order, which the ring and set views rely on.
+        // straight out of the columnar arrays.
         let max_from = batch.from_instances().iter().copied().max();
         if let Some(max_from) = max_from {
             if max_from >= self.per_instance.len() {
@@ -290,11 +266,6 @@ impl DispatchObserver for DispatchAttribution {
         if let Some(sets) = &mut self.sets {
             for (&branch, &miss) in batch.branches().iter().zip(batch.mispredicted()) {
                 sets.record(branch, miss);
-            }
-        }
-        if let Some(ring) = &mut self.ring {
-            for (from, to, branch, target, miss) in batch.iter() {
-                ring.record(from, to, branch, target, miss);
             }
         }
     }
@@ -406,10 +377,10 @@ mod tests {
     use super::*;
     use ivm_bpred::IdealBtb;
 
-    fn feed(sink: &mut DispatchAttribution, events: &[(usize, usize, Addr, Addr, bool)]) {
+    fn feed(sink: &mut DispatchAttribution, events: &[(usize, Addr, Addr, bool)]) {
         let mut batch = DispatchBatch::default();
-        for &(f, t, b, tg, m) in events {
-            batch.push(f, t, b, tg, m);
+        for &(f, b, tg, m) in events {
+            batch.push(f, b, tg, m);
         }
         sink.dispatch_batch(&batch);
     }
@@ -442,7 +413,7 @@ mod tests {
     #[test]
     fn per_instance_tallies_grow_on_demand() {
         let mut sink = DispatchAttribution::new();
-        feed(&mut sink, &[(3, 0, 1, 2, true), (3, 1, 1, 3, false), (0, 3, 9, 1, false)]);
+        feed(&mut sink, &[(3, 1, 2, true), (3, 1, 3, false), (0, 9, 1, false)]);
         assert_eq!(sink.per_instance().len(), 4);
         assert_eq!(sink.per_instance()[3], Tally { executed: 2, mispredicted: 1 });
         assert_eq!(sink.per_instance()[1], Tally::default());
@@ -454,10 +425,7 @@ mod tests {
         // 4 sets, direct-mapped: branches 0 and 4 alias in set 0.
         let cfg = BtbConfig::new(4, 1).tagless();
         let mut sink = DispatchAttribution::new().with_btb_sets(cfg);
-        feed(
-            &mut sink,
-            &[(0, 1, 0, 10, true), (1, 0, 4, 20, true), (0, 1, 0, 10, true), (2, 3, 1, 30, false)],
-        );
+        feed(&mut sink, &[(0, 0, 10, true), (1, 4, 20, true), (0, 0, 10, true), (2, 1, 30, false)]);
         let conflicts = sink.set_conflicts();
         assert_eq!(conflicts.len(), 2);
         let set0 = &conflicts[0];
@@ -469,13 +437,12 @@ mod tests {
 
     #[test]
     fn json_includes_all_enabled_sections() {
-        let mut sink = DispatchAttribution::new().with_btb_sets(BtbConfig::new(4, 1)).with_ring(2);
-        feed(&mut sink, &[(0, 1, 0, 10, true)]);
+        let mut sink = DispatchAttribution::new().with_btb_sets(BtbConfig::new(4, 1));
+        feed(&mut sink, &[(0, 0, 10, true)]);
         let j = sink.to_json(None);
         assert!(j.get("per_opcode").is_none(), "no translation, no opcode view");
         assert_eq!(j.get("total").and_then(|t| t.get("executed")), Some(&1u64.into()));
         assert!(j.get("btb_sets").is_some());
-        assert_eq!(j.get("ring").and_then(|r| r.get("retained")), Some(&1u64.into()));
         let text = j.to_json();
         crate::json::parse(&text).expect("attribution JSON parses");
     }

@@ -7,15 +7,13 @@
 //! * [`DispatchAttribution`] / [`AttributedPredictor`] — attribution
 //!   sinks breaking mispredictions down per VM opcode, per instance, per
 //!   branch and per BTB set.
-//! * [`DispatchRing`] — a bounded ring buffer of recent dispatches,
-//!   exportable as JSONL for offline analysis.
 //! * [`RunManifest`] — the provenance block (workspace version, smoke
-//!   mode, `IVM_*` env overrides) attached to every report.
+//!   mode, `IVM_*` env overrides, executor, trace-store and phase
+//!   sections) attached to every report.
 //! * [`span`] — phase-attributed wall-time profiling of the pipeline
 //!   itself: aggregation of the span stream recorded through
 //!   `ivm_harness::span` guards into per-phase statistics (the
-//!   manifest's `phases` section) and Chrome trace-event export
-//!   (`IVM_TRACE_JSON=1`).
+//!   manifest's `phases` section).
 //! * [`Json`] — the zero-dependency JSON value/writer/parser everything
 //!   above serialises through.
 //!
@@ -29,17 +27,13 @@
 mod attrib;
 mod json;
 mod manifest;
-mod ring;
 pub mod span;
 
 pub use attrib::{
     ittage_breakdown_json, AttributedPredictor, DispatchAttribution, OpTally, SetConflict, Tally,
 };
 pub use json::{parse, Json, ParseError};
-pub use manifest::{
-    smoke_enabled, CellWall, ExecutorMeta, RunManifest, SamplingEntry, SamplingMeta, TraceMeta,
-};
-pub use ring::{DispatchRecord, DispatchRing};
+pub use manifest::{smoke_enabled, CellWall, ExecutorMeta, RunManifest, TraceMeta};
 pub use span::PhaseAgg;
 
 use std::path::PathBuf;

@@ -48,113 +48,6 @@ pub struct RunManifest {
     /// when any spans were recorded. Wall-time-bearing and therefore
     /// excluded from determinism comparisons.
     pub phases: Option<Vec<PhaseAgg>>,
-    /// SimPoint-style sampling metadata, when the run simulated
-    /// representative intervals instead of (or alongside) full traces.
-    /// Excluded from determinism comparisons alongside the other
-    /// optional sections so sampled and full runs stay diffable.
-    pub sampling: Option<SamplingMeta>,
-}
-
-/// How SimPoint-style interval sampling was configured and how well it
-/// reconstructed full-trace results, across every sampled workload of
-/// one run.
-///
-/// All fractional quantities are stored in integer micro-units (weights
-/// in parts-per-million, error bars in micro-percentage-points) so the
-/// manifest stays `Eq`-comparable; the serialised form reports plain
-/// fractions and percentage points.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SamplingMeta {
-    /// Per sampled workload, its clustering summary in absorb order.
-    pub entries: Vec<SamplingEntry>,
-}
-
-/// One sampled workload's clustering summary: how the stream was sliced,
-/// what K came out, the representative weights, and the sampling error —
-/// always the estimated bar, plus the exact error when a full-trace
-/// reference was also simulated.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SamplingEntry {
-    /// Stable workload id (`<vm>/<benchmark>/<technique>`-style).
-    pub id: String,
-    /// Events per interval slice.
-    pub interval_len: u64,
-    /// Number of intervals the stream sliced into.
-    pub intervals: u64,
-    /// Number of clusters (representative intervals simulated).
-    pub k: usize,
-    /// Per-cluster whole-run weight, in parts-per-million, in canonical
-    /// cluster order.
-    pub weights_ppm: Vec<u64>,
-    /// Estimated sampling error (the reported bar), in
-    /// micro-percentage-points of misprediction rate.
-    pub est_err_upp: u64,
-    /// Worst observed |sampled − full| across the run's predictors, in
-    /// micro-percentage-points, when the full trace was also simulated.
-    pub exact_err_upp: Option<u64>,
-}
-
-impl SamplingEntry {
-    /// Builds an entry from natural units: fractional `weights` (summing
-    /// to ~1) and percentage-point errors are micro-unit encoded here so
-    /// every caller rounds identically.
-    pub fn new(
-        id: impl Into<String>,
-        interval_len: u64,
-        intervals: u64,
-        weights: &[f64],
-        est_err_pp: f64,
-        exact_err_pp: Option<f64>,
-    ) -> Self {
-        let to_u = |v: f64| (v * 1e6).round() as u64;
-        Self {
-            id: id.into(),
-            interval_len,
-            intervals,
-            k: weights.len(),
-            weights_ppm: weights.iter().map(|&w| to_u(w)).collect(),
-            est_err_upp: to_u(est_err_pp),
-            exact_err_upp: exact_err_pp.map(to_u),
-        }
-    }
-}
-
-impl SamplingMeta {
-    /// Appends one sampled workload's summary.
-    pub fn absorb(&mut self, entry: SamplingEntry) {
-        self.entries.push(entry);
-    }
-
-    /// Serialises the sampling section.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let entries = self
-            .entries
-            .iter()
-            .map(|e| {
-                let weights: Vec<Json> =
-                    e.weights_ppm.iter().map(|&w| Json::Num(round6(w as f64 / 1e6))).collect();
-                let mut j = Json::obj()
-                    .with("id", e.id.as_str())
-                    .with("interval_len", e.interval_len)
-                    .with("intervals", e.intervals)
-                    .with("k", e.k as u64)
-                    .with("weights", Json::Arr(weights))
-                    .with("est_err_pp", round6(e.est_err_upp as f64 / 1e6));
-                match e.exact_err_upp {
-                    Some(v) => j.set("exact_err_pp", round6(v as f64 / 1e6)),
-                    None => j.set("exact_err_pp", Json::Null),
-                };
-                j
-            })
-            .collect();
-        Json::obj().with("workloads", Json::Arr(entries))
-    }
-}
-
-/// Rounds to 6 decimals (exact for values that came from micro-units).
-fn round6(v: f64) -> f64 {
-    (v * 1e6).round() / 1e6
 }
 
 /// How the dispatch-trace cache behaved during one run: captures versus
@@ -282,7 +175,6 @@ impl RunManifest {
             executor: None,
             trace: None,
             phases: None,
-            sampling: None,
         }
     }
 
@@ -308,14 +200,6 @@ impl RunManifest {
         self
     }
 
-    /// Attaches SimPoint-sampling metadata (builder style). `None` and a
-    /// summary with no workloads both omit the section.
-    #[must_use]
-    pub fn with_sampling(mut self, sampling: Option<SamplingMeta>) -> Self {
-        self.sampling = sampling.filter(|s| !s.entries.is_empty());
-        self
-    }
-
     /// Serialises the manifest.
     pub fn to_json(&self) -> Json {
         let mut j = Json::obj()
@@ -332,9 +216,6 @@ impl RunManifest {
         }
         if let Some(phases) = &self.phases {
             j.set("phases", crate::span::phases_json(phases));
-        }
-        if let Some(sampling) = &self.sampling {
-            j.set("sampling", sampling.to_json());
         }
         j
     }
@@ -361,7 +242,6 @@ mod tests {
             executor: None,
             trace: None,
             phases: None,
-            sampling: None,
         };
         let j = parse(&m.to_json().to_json()).unwrap();
         assert_eq!(j.get("report").and_then(Json::as_str), Some("demo"));
@@ -443,38 +323,6 @@ mod tests {
         let empty = RunManifest::capture("demo").with_phases(Some(Vec::new()));
         assert_eq!(empty.to_json().get("phases"), None, "empty phases omitted");
         assert_eq!(RunManifest::capture("demo").to_json().get("phases"), None);
-    }
-
-    #[test]
-    fn sampling_section_serialises_and_empty_is_omitted() {
-        let mut meta = SamplingMeta::default();
-        meta.absorb(SamplingEntry::new(
-            "forth/bench-gc/threaded",
-            4096,
-            717,
-            &[0.25, 0.5, 0.25],
-            0.125,
-            Some(0.04),
-        ));
-        meta.absorb(SamplingEntry::new("java/mpeg/threaded", 2048, 219, &[1.0], 0.3, None));
-
-        let m = RunManifest::capture("demo").with_sampling(Some(meta));
-        let j = parse(&m.to_json().to_json()).unwrap();
-        let rows =
-            j.get("sampling").and_then(|s| s.get("workloads")).and_then(Json::as_arr).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].get("id").and_then(Json::as_str), Some("forth/bench-gc/threaded"));
-        assert_eq!(rows[0].get("interval_len").and_then(Json::as_f64), Some(4096.0));
-        assert_eq!(rows[0].get("k").and_then(Json::as_f64), Some(3.0));
-        let weights = rows[0].get("weights").and_then(Json::as_arr).unwrap();
-        assert_eq!(weights[1].as_f64(), Some(0.5));
-        assert_eq!(rows[0].get("est_err_pp").and_then(Json::as_f64), Some(0.125));
-        assert_eq!(rows[0].get("exact_err_pp").and_then(Json::as_f64), Some(0.04));
-        assert_eq!(rows[1].get("exact_err_pp"), Some(&Json::Null));
-
-        let empty = RunManifest::capture("demo").with_sampling(Some(SamplingMeta::default()));
-        assert_eq!(empty.to_json().get("sampling"), None, "empty sampling omitted");
-        assert_eq!(RunManifest::capture("demo").to_json().get("sampling"), None);
     }
 
     #[test]

@@ -1,29 +1,20 @@
 //! Phase-attributed span profiling: aggregation of the raw span stream
-//! into per-phase wall-time statistics, and Chrome trace-event export.
+//! into per-phase wall-time statistics.
 //!
 //! The recording primitive — guards, thread-local stacks, the process
 //! sink — lives in [`ivm_harness::span`] (re-exported here) so the
 //! measurement pipeline in `ivm-core` and the parallel executor can open
 //! spans without depending on this crate. This module is the consumer
-//! side:
-//!
-//! * [`aggregate`] folds a span snapshot into deterministic-ordered
-//!   [`PhaseAgg`] rows (count, total, self time per phase name) — the
-//!   `phases` section of [`crate::RunManifest`] and the substance of the
-//!   `where_time_goes` report.
-//! * [`chrome_trace`] renders the full span tree as a Chrome
-//!   trace-event JSON document (loadable in Perfetto or
-//!   `chrome://tracing`), one track per executor worker.
-//! * [`trace_json_enabled`] gates the export: `IVM_TRACE_JSON=1` makes
-//!   every report binary write `results/json/<bin>.trace.json`.
+//! side: [`aggregate`] folds a span snapshot into deterministic-ordered
+//! [`PhaseAgg`] rows (count, total, self time per phase name) — the
+//! `phases` section of [`crate::RunManifest`] and the substance of the
+//! `where_time_goes` report.
 //!
 //! Wall times are nondeterministic by nature; everything derived here is
 //! excluded from determinism comparisons (`scripts/check_determinism.py`
-//! strips `manifest.phases` and skips `*.trace.json`).
+//! strips `manifest.phases`).
 
-pub use ivm_harness::span::{
-    enabled, enter, set_enabled, set_track, snapshot, SpanGuard, SpanRecord,
-};
+pub use ivm_harness::span::{enter, snapshot, SpanGuard, SpanRecord};
 
 use crate::json::Json;
 
@@ -110,40 +101,6 @@ pub fn cell_wall_us(records: &[SpanRecord]) -> u64 {
     records.iter().filter(|r| r.name == CELL_SPAN && r.depth == 0).map(|r| r.dur_us).sum()
 }
 
-/// True when Chrome-trace export was requested via `IVM_TRACE_JSON`
-/// (set and not `"0"`).
-#[must_use]
-pub fn trace_json_enabled() -> bool {
-    std::env::var("IVM_TRACE_JSON").is_ok_and(|v| v != "0")
-}
-
-/// Renders span records as a Chrome trace-event document: an object with
-/// a `traceEvents` array of complete (`"ph":"X"`) events, one per span,
-/// with microsecond `ts`/`dur`, `pid` 1, and `tid` equal to the span's
-/// track — so the executor's workers appear as separate lanes in
-/// Perfetto or `chrome://tracing`. `process` labels the trace (the
-/// report binary's name) via the top-level `otherData` object.
-#[must_use]
-pub fn chrome_trace(records: &[SpanRecord], process: &str) -> Json {
-    let events: Vec<Json> = records
-        .iter()
-        .map(|r| {
-            Json::obj()
-                .with("name", r.name)
-                .with("cat", "ivm")
-                .with("ph", "X")
-                .with("ts", r.start_us)
-                .with("dur", r.dur_us)
-                .with("pid", 1u64)
-                .with("tid", u64::from(r.track))
-        })
-        .collect();
-    Json::obj()
-        .with("traceEvents", Json::Arr(events))
-        .with("displayTimeUnit", "ms")
-        .with("otherData", Json::obj().with("process", process))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,23 +109,22 @@ mod tests {
     fn rec(
         name: &'static str,
         root: &'static str,
-        track: u32,
         depth: u16,
         start_us: u64,
         dur_us: u64,
         self_us: u64,
     ) -> SpanRecord {
-        SpanRecord { name, root, track, depth, start_us, dur_us, self_us }
+        SpanRecord { name, root, depth, start_us, dur_us, self_us }
     }
 
     #[test]
     fn aggregate_sums_per_phase_and_sorts_by_name() {
         let records = vec![
-            rec("translate", "cell", 1, 1, 0, 40, 40),
-            rec("execute", "cell", 1, 1, 40, 160, 160),
-            rec("cell", "cell", 1, 0, 0, 210, 10),
-            rec("translate", "cell", 2, 1, 5, 60, 60),
-            rec("report_render", "report_render", 0, 0, 300, 30, 30),
+            rec("translate", "cell", 1, 0, 40, 40),
+            rec("execute", "cell", 1, 40, 160, 160),
+            rec("cell", "cell", 0, 0, 210, 10),
+            rec("translate", "cell", 1, 5, 60, 60),
+            rec("report_render", "report_render", 0, 300, 30, 30),
         ];
         let phases = aggregate(&records);
         let names: Vec<&str> = phases.iter().map(|p| p.name).collect();
@@ -187,9 +143,9 @@ mod tests {
         // The invariant where_time_goes relies on: summed self time
         // equals summed root duration.
         let records = vec![
-            rec("cell", "cell", 1, 0, 0, 200, 20),
-            rec("translate", "cell", 1, 1, 0, 30, 30),
-            rec("execute", "cell", 1, 1, 30, 150, 150),
+            rec("cell", "cell", 0, 0, 200, 20),
+            rec("translate", "cell", 1, 0, 30, 30),
+            rec("execute", "cell", 1, 30, 150, 150),
         ];
         let phases = aggregate(&records);
         let total_self: u64 = phases.iter().map(|p| p.self_us).sum();
@@ -198,30 +154,8 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_events_carry_required_keys() {
-        let records =
-            vec![rec("execute", "cell", 2, 1, 17, 120, 120), rec("cell", "cell", 2, 0, 0, 140, 20)];
-        let doc = chrome_trace(&records, "figure7");
-        let parsed = parse(&doc.to_json()).expect("valid JSON");
-        let events = parsed.get("traceEvents").and_then(Json::as_arr).expect("events array");
-        assert_eq!(events.len(), 2);
-        for e in events {
-            assert_eq!(e.get("ph").and_then(Json::as_str), Some("X"));
-            assert!(e.get("ts").and_then(Json::as_f64).is_some());
-            assert!(e.get("dur").and_then(Json::as_f64).is_some());
-            assert_eq!(e.get("pid").and_then(Json::as_f64), Some(1.0));
-            assert_eq!(e.get("tid").and_then(Json::as_f64), Some(2.0));
-            assert!(e.get("name").and_then(Json::as_str).is_some());
-        }
-        assert_eq!(
-            parsed.get("otherData").and_then(|o| o.get("process")).and_then(Json::as_str),
-            Some("figure7")
-        );
-    }
-
-    #[test]
     fn phases_json_reports_milliseconds() {
-        let phases = aggregate(&[rec("execute", "cell", 1, 1, 0, 1500, 1500)]);
+        let phases = aggregate(&[rec("execute", "cell", 1, 0, 1500, 1500)]);
         let j = phases_json(&phases);
         let parsed = parse(&j.to_json()).unwrap();
         let row = &parsed.as_arr().unwrap()[0];
@@ -236,10 +170,10 @@ mod tests {
         // A serial nested batch: the outer cell (dur 300) contains a
         // nested cell (dur 100) which contains a train span (dur 80).
         let records = vec![
-            rec("cell", "cell", 0, 0, 0, 300, 200),
-            rec("cell", "cell", 0, 1, 20, 100, 20),
-            rec("train", "cell", 0, 2, 30, 80, 80),
-            rec("cell", "cell", 1, 0, 0, 50, 50),
+            rec("cell", "cell", 0, 0, 300, 200),
+            rec("cell", "cell", 1, 20, 100, 20),
+            rec("train", "cell", 2, 30, 80, 80),
+            rec("cell", "cell", 0, 0, 50, 50),
         ];
         assert_eq!(cell_wall_us(&records), 350, "root cells only, nested cell not re-counted");
         let in_cell_total: u64 = aggregate(&records).iter().map(|p| p.in_cell_self_us).sum();

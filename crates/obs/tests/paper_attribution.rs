@@ -42,8 +42,8 @@ fn table1_program(spec: &VmSpec) -> ProgramCode {
 }
 
 /// One dispatch event as the engine reports it:
-/// `(from, to, branch, target, mispredicted)`.
-type Event = (usize, usize, u64, u64, bool);
+/// `(from, branch, target, mispredicted)`.
+type Event = (usize, u64, u64, bool);
 
 /// Records every dispatch the engine delivers, in execution order.
 #[derive(Default)]
@@ -85,8 +85,8 @@ fn steady_state_attribution(
 ) -> (DispatchAttribution, Vec<(String, u64, u64)>) {
     let warm_up = dispatches(technique, 1).len();
     let mut batch = DispatchBatch::default();
-    for &(from, to, branch, target, miss) in &dispatches(technique, 2)[warm_up..] {
-        batch.push(from, to, branch, target, miss);
+    for &(from, branch, target, miss) in &dispatches(technique, 2)[warm_up..] {
+        batch.push(from, branch, target, miss);
     }
     let mut sink = DispatchAttribution::new().with_btb_sets(BtbConfig::celeron());
     sink.dispatch_batch(&batch);

@@ -6,7 +6,7 @@ count: running a report binary with IVM_JOBS=1 and IVM_JOBS=N must produce
 identical results. This script compares two output directories produced by
 such runs and fails on any difference. Stdlib only.
 
-Five manifest sections are excluded from the comparison, because they
+Four manifest sections are excluded from the comparison, because they
 are *supposed* to differ between runs:
 
 * manifest.env      — records the IVM_* environment (contains IVM_JOBS)
@@ -15,20 +15,12 @@ are *supposed* to differ between runs:
                       what an earlier run left in the cache, not on the
                       results themselves)
 * manifest.phases   — per-phase span wall times (wall-clock by nature)
-* manifest.sampling — per-plan entries are appended in executor cell
-                      completion order, which depends on IVM_JOBS (every
-                      entry's *contents* are still deterministic and are
-                      covered by the sampling_sweep report section, which
-                      IS compared)
 
-Chrome trace-event exports (`*.trace.json`, written under
-IVM_TRACE_JSON=1) are timelines of wall-clock spans and are skipped
-entirely. Everything else — every table value, metric, attribution
-breakdown and JSONL trace byte — must be identical. *.json files are
-compared after dropping the excluded sections and re-serialising
-canonically (sorted keys); all other files — including the binary
-`.dtrace` dispatch traces captured under IVM_TRACE_DIR — are compared
-byte for byte. `.dtrace` files are additionally required to start with
+No file is skipped. Everything else — every table value, metric and
+attribution breakdown — must be identical. *.json files are compared
+after dropping the excluded sections and re-serialising canonically
+(sorted keys); all other files — the binary `.dtrace` dispatch traces
+captured under IVM_TRACE_DIR — are compared byte for byte. `.dtrace` files are additionally required to start with
 the `IVMT` format magic, so a comparison of two identically-torn files
 cannot pass silently.
 
@@ -55,7 +47,6 @@ def strip_nondeterministic(doc):
             manifest.pop("executor", None)
             manifest.pop("trace", None)
             manifest.pop("phases", None)
-            manifest.pop("sampling", None)
     return doc
 
 
@@ -74,16 +65,10 @@ def compare(dir_a: Path, dir_b: Path) -> list[str]:
     for rel in sorted(files_a & files_b):
         a, b = dir_a / rel, dir_b / rel
         problem = None
-        if rel.name.endswith(".trace.json"):
-            print(f"  {rel}: skipped (wall-clock span timeline)")
-            continue
         if rel.suffix == ".json":
             try:
                 if canonical_json(a) != canonical_json(b):
-                    problem = (
-                        "JSON differs outside "
-                        "manifest.{env,executor,trace,phases,sampling}"
-                    )
+                    problem = "JSON differs outside manifest.{env,executor,trace,phases}"
             except json.JSONDecodeError as e:
                 problem = f"not valid JSON: {e}"
         elif rel.suffix == ".dtrace":
