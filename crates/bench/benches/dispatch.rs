@@ -131,16 +131,11 @@ fn bench_trace_replay(b: &mut Bencher) {
 }
 
 fn bench_dtrace_codec(b: &mut Bencher) {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
     let image = small_forth_image();
     let (exec, _) = ivm_core::record(&image).expect("records");
-    let observer = Rc::new(RefCell::new(ivm_core::DispatchTrace::new(0, "threaded")));
     let engine = ivm_core::Engine::for_cpu(&CpuSpec::pentium4_northwood())
-        .with_observer(observer.clone() as ivm_core::SharedObserver);
-    let _ = ivm_core::measure_trace_with(&image, &exec, Technique::Threaded, engine, None);
-    let trace = observer.borrow().clone();
+        .with_observer(ivm_core::DispatchTrace::new(0, "threaded"));
+    let (_, trace) = ivm_core::measure_trace_with(&image, &exec, Technique::Threaded, engine, None);
     let bytes = trace.to_bytes();
     let mut group = b.group("dtrace");
     group.bench("encode", || trace.to_bytes().len());

@@ -232,7 +232,7 @@ fn tos_caching(out: &mut Report, training: &Profile) {
                 );
                 let mut m = ivm_core::Measurement::new(translation, Engine::for_cpu(&cpu));
                 image.execute(&mut m, image.default_fuel()).expect("runs");
-                m.finish().cycles
+                m.finish().0.cycles
             };
             cycles(Technique::Threaded) / cycles(Technique::AcrossBb)
         };

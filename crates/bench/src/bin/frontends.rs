@@ -49,7 +49,7 @@ fn attribution(fe: &'static Frontend, tech: Technique, cpu: &CpuSpec) -> Json {
     let name = fe.benches()[0].name;
     let training = fe.training_for(name);
     let sink = DispatchAttribution::new().with_btb_sets(BtbConfig::celeron());
-    let (_, _, breakdown) = fe.attributed_run(name, tech, cpu, &training, sink);
+    let breakdown = fe.attributed_run(name, tech, cpu, &training, sink);
     Json::obj()
         .with("frontend", fe.name)
         .with("benchmark", name)

@@ -32,7 +32,7 @@ fn attribution_for(
     training: &Profile,
 ) -> Json {
     let sink = DispatchAttribution::new().with_btb_sets(BtbConfig::celeron());
-    let (_, _, breakdown) = fe.attributed_run(name, tech, cpu, training, sink);
+    let breakdown = fe.attributed_run(name, tech, cpu, training, sink);
     Json::obj().with("technique", tech.paper_name()).with("dispatch", breakdown)
 }
 

@@ -4,15 +4,16 @@
 //! Run with: `cargo run --release -p ivm-bench --bin table1_4`
 //!
 //! With JSON output enabled (`IVM_JSON=1`), each replay's
-//! steady-state iteration is also attributed per dispatch branch (via
-//! [`AttributedPredictor`]) and per Celeron BTB set, and recorded in
-//! `results/json/table1_4.json`.
+//! steady-state iteration is also attributed per dispatch branch and per
+//! Celeron BTB set by a [`DispatchAttribution`] with one instance per
+//! branch, and recorded in `results/json/table1_4.json`.
 
 use std::fmt::Write as _;
 
 use ivm_bench::{run_cells, Cell, Report};
 use ivm_bpred::{BtbConfig, IdealBtb, IndirectPredictor};
-use ivm_obs::{AttributedPredictor, Json};
+use ivm_core::DispatchObserver;
+use ivm_obs::{DispatchAttribution, Json};
 
 const A: u64 = 0xA00;
 const A1: u64 = 0xA10;
@@ -65,20 +66,23 @@ fn replay(title: &str, seq: &[(u64, u64)]) -> (String, Json) {
     let mut out = String::new();
     let _ = writeln!(out, "{title}");
     let _ = writeln!(out, "  {:<3} {:<10} {:<12} {:<8}", "#", "BTB entry", "prediction", "actual");
-    let mut btb = AttributedPredictor::new(IdealBtb::new()).with_sets(BtbConfig::celeron());
+    let mut btb = IdealBtb::new();
     // Warm-up iteration (the paper assumes the loop ran once already).
     for &(from, to) in seq {
         btb.predict_and_update(br(from), to);
     }
-    // Only attribute the steady-state iteration that is printed below.
-    btb.clear_counts();
-    let mut misses = 0u64;
+    // Only the steady-state iteration printed below is attributed, with
+    // one instance per dispatch branch in address order.
+    let mut branches: Vec<u64> = seq.iter().map(|&(from, _)| br(from)).collect();
+    branches.sort_unstable();
+    branches.dedup();
+    let mut attribution = DispatchAttribution::new().with_btb_sets(BtbConfig::celeron());
     for (i, &(from, to)) in seq.iter().enumerate() {
-        let predicted = btb.inner().predicted_target(br(from));
-        let hit = btb.predict_and_update(br(from), to);
-        if !hit {
-            misses += 1;
-        }
+        let branch = br(from);
+        let predicted = btb.predicted_target(branch);
+        let hit = btb.predict_and_update(branch, to);
+        let instance = branches.binary_search(&branch).expect("every branch is listed");
+        attribution.dispatch(instance, branch, to, !hit);
         let _ = writeln!(
             out,
             "  {:<3} br-{:<7} {:<12} {:<8}{}",
@@ -89,11 +93,12 @@ fn replay(title: &str, seq: &[(u64, u64)]) -> (String, Json) {
             if hit { "" } else { "   <- mispredicted" }
         );
     }
+    let misses = attribution.total().mispredicted;
     let _ = writeln!(out, "  mispredictions per iteration: {misses}\n");
 
-    let per_branch = btb
-        .per_branch()
+    let per_branch = branches
         .iter()
+        .zip(attribution.per_instance())
         .map(|(&branch, tally)| {
             Json::obj()
                 .with("branch", branch_name(branch))
@@ -101,7 +106,7 @@ fn replay(title: &str, seq: &[(u64, u64)]) -> (String, Json) {
                 .with("mispredicted", tally.mispredicted)
         })
         .collect();
-    let sets = btb
+    let sets = attribution
         .set_conflicts()
         .into_iter()
         .map(|c| {

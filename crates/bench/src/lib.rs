@@ -39,7 +39,6 @@ pub use pipeline::SamplingPlan;
 pub use report::{json_enabled, Report};
 pub use tracestore::{predictor_registry, trace_meta, trace_store, StoredTrace, TraceStore};
 
-use std::rc::Rc;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use ivm_cache::CpuSpec;
@@ -375,10 +374,8 @@ impl Frontend {
     }
 
     /// Runs benchmark `name` under `technique` on `cpu` with `sink`
-    /// observing the engine, and returns the run's result, the sink and
-    /// the sink's JSON breakdown with its per-opcode view. The sink is
-    /// read after `Measurement::finish` has delivered the last batch of
-    /// dispatches, so its total equals the run's dispatch count.
+    /// observing the engine, and returns the sink's JSON breakdown with
+    /// its per-opcode view.
     ///
     /// # Panics
     ///
@@ -390,7 +387,7 @@ impl Frontend {
         cpu: &CpuSpec,
         training: &Profile,
         sink: DispatchAttribution,
-    ) -> (RunResult, DispatchAttribution, Json) {
+    ) -> Json {
         let image = self.image(name);
         let translation = ivm_core::translate(
             image.spec(),
@@ -399,21 +396,17 @@ impl Frontend {
             Some(training),
             image.super_selection(),
         );
-        let sink = sink.shared();
-        let engine = Engine::for_cpu(cpu).with_observer(sink.clone());
+        let engine = Engine::for_cpu(cpu).with_observer(sink);
         let mut m = Measurement::new(translation, engine);
         image
             .execute(&mut m, image.default_fuel())
             .unwrap_or_else(|e| panic!("{}/{name}/{technique}: {e}", self.name));
         // Resolve instances to opcodes before `finish` consumes the
-        // translation; `finish` delivers the last batch to the sink.
+        // translation.
         let op_names: Vec<String> =
             (0..image.program().len()).map(|i| m.translation().op_name(i).to_owned()).collect();
-        let result = m.finish();
-        let sink =
-            Rc::try_unwrap(sink).expect("the finished run released its observer").into_inner();
-        let breakdown = sink.to_json(Some(&op_names));
-        (result, sink, breakdown)
+        let (_, sink) = m.finish();
+        sink.to_json(Some(&op_names))
     }
 }
 
@@ -540,24 +533,26 @@ mod tests {
 
     #[test]
     fn attribution_accounts_every_dispatch_of_the_run() {
-        // The engine delivers dispatches to observers in batches of 1024;
-        // a sink read before `finish` misses the last, partial batch.
+        // The breakdown's total and its per-opcode view must both account
+        // for every dispatch a plain measurement of the same cell counts.
         let fe = frontend("calc");
+        let image = fe.image("triangle");
         let training = fe.training_for("triangle");
+        let cpu = CpuSpec::celeron800();
         for technique in [Technique::Threaded, Technique::DynamicRepl] {
+            let (run, _) =
+                ivm_core::measure(&*image, technique, &cpu, Some(&training)).expect("runs");
+            let expected = [run.counters.dispatches, run.counters.indirect_mispredicted];
             let sink = DispatchAttribution::new().with_btb_sets(ivm_bpred::BtbConfig::celeron());
-            let cpu = CpuSpec::celeron800();
-            let (run, sink, json) = fe.attributed_run("triangle", technique, &cpu, &training, sink);
-            let dispatches = run.counters.dispatches;
-            assert_ne!(dispatches % 1024, 0, "{technique}: the run must end on a partial batch");
-            assert_eq!(sink.total().executed, dispatches, "{technique}");
-            assert_eq!(sink.total().mispredicted, run.counters.indirect_mispredicted);
-            let total = json.get("total").and_then(|t| t.get("executed")).and_then(Json::as_f64);
-            assert_eq!(total, Some(dispatches as f64), "{technique}: JSON total");
+            let json = fe.attributed_run("triangle", technique, &cpu, &training, sink);
+            let count = |o: &Json, key: &str| o.get(key).and_then(Json::as_f64).expect(key);
+            let total = json.get("total").expect("total");
+            let total = [count(total, "executed"), count(total, "mispredicted")];
+            assert_eq!(total, expected.map(|n| n as f64), "{technique}: JSON total");
             let per_opcode = json.get("per_opcode").and_then(Json::as_arr).expect("opcode view");
-            let executed: f64 =
-                per_opcode.iter().filter_map(|o| o.get("executed").and_then(Json::as_f64)).sum();
-            assert_eq!(executed, dispatches as f64, "{technique}: opcodes account every dispatch");
+            let summed = ["executed", "mispredicted"]
+                .map(|key| per_opcode.iter().map(|o| count(o, key)).sum::<f64>());
+            assert_eq!(summed, expected.map(|n| n as f64), "{technique}: per-opcode sums");
         }
     }
 

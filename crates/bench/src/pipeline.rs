@@ -375,7 +375,7 @@ mod tests {
         let t = two_phase_trace(400);
         let p = plan(&t, 100, 1_000);
         assert_eq!(p.k(), p.index.len(), "K >= intervals keeps every interval");
-        assert!(p.clustering.sizes.iter().all(|&s| s == 1));
+        assert!((0..p.k()).all(|c| p.clustering.members(c).len() == 1));
     }
 
     #[test]

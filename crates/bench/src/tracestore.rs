@@ -23,9 +23,7 @@
 //! smoke — CI's determinism job uses this to byte-compare trace files
 //! across worker counts.
 
-use std::cell::RefCell;
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use ivm_bpred::{
@@ -34,8 +32,7 @@ use ivm_bpred::{
 };
 use ivm_cache::{CycleCosts, PerfectIcache};
 use ivm_core::{
-    dispatch_spec_hash, DispatchTrace, Engine, ExecutionTrace, GuestVm, Profile, SharedObserver,
-    Technique,
+    dispatch_spec_hash, DispatchTrace, Engine, ExecutionTrace, GuestVm, Profile, Technique,
 };
 use ivm_obs::TraceMeta;
 
@@ -174,15 +171,12 @@ impl TraceStore {
             return Arc::new(StoredTrace { trace });
         }
         let _span = ivm_obs::span::enter("trace_capture");
-        let observer = Rc::new(RefCell::new(DispatchTrace::new(expected, tech_id)));
         // The dispatch stream does not depend on the machine model:
         // control flow never consults the predictor or the caches, so
         // capture runs on the cheapest machine there is.
         let engine = Engine::new(IdealBtb::new(), Box::new(PerfectIcache), CycleCosts::celeron())
-            .with_observer(observer.clone() as SharedObserver);
-        ivm_core::measure_trace_with(vm, exec, technique, engine, training);
-        let trace =
-            Rc::try_unwrap(observer).expect("the finished run released its observer").into_inner();
+            .with_observer(DispatchTrace::new(expected, tech_id));
+        let (_, trace) = ivm_core::measure_trace_with(vm, exec, technique, engine, training);
         let encoded = trace.to_bytes();
         if let Some(p) = path.as_deref() {
             persist(p, &encoded);
@@ -310,10 +304,9 @@ mod tests {
                 );
                 let hash =
                     dispatch_spec_hash(image.spec(), image.program(), technique, Some(&training));
-                let observer = Rc::new(RefCell::new(DispatchTrace::new(hash, technique.id())));
                 let engine =
-                    Engine::for_cpu(&cpu).with_observer(observer.clone() as SharedObserver);
-                let run = ivm_core::measure_trace_with(
+                    Engine::for_cpu(&cpu).with_observer(DispatchTrace::new(hash, technique.id()));
+                let (run, observed) = ivm_core::measure_trace_with(
                     &*image,
                     &exec,
                     technique,
@@ -330,7 +323,7 @@ mod tests {
                         "{label}: the machine must predict unlike the capture machine"
                     );
                 }
-                assert_eq!(stored.trace(), &*observer.borrow(), "{label}: streams differ");
+                assert_eq!(stored.trace(), &observed, "{label}: streams differ");
             }
         }
     }

@@ -1,60 +1,37 @@
-//! Batched observers agree with the engine. The engine hands dispatch
-//! events to its observer in fixed-size batches; for each frontend and
-//! technique, attaching either production observer — the trace store's
+//! Observers agree with the engine. For each frontend and technique,
+//! attaching either production observer — the trace store's
 //! [`DispatchTrace`] or the reports' [`DispatchAttribution`] — must leave
-//! the measured run bit-identical, and what the observer collected across
-//! every batch must account for exactly the dispatches the engine counted.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! the measured run bit-identical, and what the observer collected must
+//! account for exactly the dispatches the engine counted.
 
 use ivm_bench::frontend;
 use ivm_bpred::{AnyPredictor, Btb, BtbConfig};
 use ivm_cache::{CycleCosts, Icache, IcacheConfig};
 use ivm_core::{
-    simulate_many, DispatchBatch, DispatchObserver, DispatchTrace, Engine, ExecutionTrace, GuestVm,
-    Profile, RunResult, SharedObserver, Technique,
+    simulate_many, DispatchObserver, DispatchTrace, Engine, ExecutionTrace, GuestVm, Profile,
+    RunResult, Technique,
 };
 use ivm_obs::DispatchAttribution;
-
-/// Forwards every batch to `inner`, counting the deliveries.
-struct Counted<O> {
-    inner: O,
-    batches: usize,
-}
-
-impl<O: DispatchObserver> DispatchObserver for Counted<O> {
-    fn dispatch_batch(&mut self, batch: &DispatchBatch) {
-        self.batches += 1;
-        self.inner.dispatch_batch(batch);
-    }
-}
-
-fn counted<O>(inner: O) -> Rc<RefCell<Counted<O>>> {
-    Rc::new(RefCell::new(Counted { inner, batches: 0 }))
-}
 
 fn celeron_btb() -> AnyPredictor {
     Btb::new(BtbConfig::celeron()).into()
 }
 
-/// One measured replay on a Celeron BTB and L1 I-cache, with `observer`
-/// attached when given.
-fn replay<G: GuestVm + ?Sized>(
+/// One measured replay on a Celeron BTB and L1 I-cache, seen by
+/// `observer`.
+fn replay<G: GuestVm + ?Sized, O: DispatchObserver>(
     vm: &G,
     exec: &ExecutionTrace,
     technique: Technique,
     training: &Profile,
-    observer: Option<SharedObserver>,
-) -> RunResult {
-    let mut engine = Engine::new(
+    observer: O,
+) -> (RunResult, O) {
+    let engine = Engine::new(
         celeron_btb(),
         Box::new(Icache::new(IcacheConfig::celeron_l1i())),
         CycleCosts::celeron(),
-    );
-    if let Some(observer) = observer {
-        engine = engine.with_observer(observer);
-    }
+    )
+    .with_observer(observer);
     ivm_core::measure_trace_with(vm, exec, technique, engine, Some(training))
 }
 
@@ -82,38 +59,34 @@ fn batched_observers_agree_with_the_engine() {
 
         for technique in [Technique::Threaded, Technique::DynamicRepl] {
             let label = format!("{fe}/{bench}/{technique}");
-            let plain = replay(&*image, &exec, technique, &training, None);
+            let (plain, ()) = replay(&*image, &exec, technique, &training, ());
             let expected = (plain.counters.indirect_branches, plain.counters.indirect_mispredicted);
 
-            let trace = counted(DispatchTrace::new(0, technique.id()));
-            let traced = replay(&*image, &exec, technique, &training, Some(trace.clone()));
+            let trace = DispatchTrace::new(0, technique.id());
+            let (traced, trace) = replay(&*image, &exec, technique, &training, trace);
             assert_same_run(&format!("{label} with a trace"), &plain, &traced);
-            let trace = trace.borrow();
             assert_eq!(
-                trace.inner.len() as u64,
+                trace.len() as u64,
                 plain.counters.indirect_branches,
                 "{label}: one captured event per indirect branch"
             );
-            assert!(trace.batches > 1, "{label}: the stream must span more than one batch");
-            let swept = simulate_many(&trace.inner, &mut [celeron_btb()])[0];
+            let swept = simulate_many(&trace, &mut [celeron_btb()])[0];
             assert_eq!(
                 (swept.executed, swept.mispredicted),
                 expected,
                 "{label}: the captured stream does not reproduce the engine's predictions"
             );
 
-            let attrib = counted(DispatchAttribution::new().with_btb_sets(BtbConfig::celeron()));
-            let attributed = replay(&*image, &exec, technique, &training, Some(attrib.clone()));
+            let attrib = DispatchAttribution::new().with_btb_sets(BtbConfig::celeron());
+            let (attributed, attrib) = replay(&*image, &exec, technique, &training, attrib);
             assert_same_run(&format!("{label} with attribution"), &plain, &attributed);
-            let attrib = attrib.borrow();
-            let total = attrib.inner.total();
+            let total = attrib.total();
             assert_eq!(
                 (total.executed, total.mispredicted),
                 expected,
                 "{label}: attribution totals diverge from the counters"
             );
             let per_set = attrib
-                .inner
                 .set_conflicts()
                 .iter()
                 .fold((0, 0), |(e, m), s| (e + s.tally.executed, m + s.tally.mispredicted));

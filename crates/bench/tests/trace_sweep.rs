@@ -5,15 +5,9 @@
 //! engine. This is the invariant that lets `simulator_study` (and any
 //! future sweep) replace N interpreter runs with one capture.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use ivm_bench::{frontend, predictor_registry};
 use ivm_cache::{CycleCosts, PerfectIcache};
-use ivm_core::{
-    simulate_many, CoverAlgorithm, DispatchTrace, Engine, ReplicaSelection, SharedObserver,
-    Technique,
-};
+use ivm_core::{simulate_many, CoverAlgorithm, DispatchTrace, Engine, ReplicaSelection, Technique};
 
 fn techniques() -> Vec<Technique> {
     vec![
@@ -60,18 +54,16 @@ fn simulate_many_is_bit_identical_to_per_predictor_reexecution() {
         // Capture the dispatch stream once, through the same observer
         // seam the trace store uses (the capture engine's predictor is
         // irrelevant — the stream must not depend on it).
-        let observer = Rc::new(RefCell::new(DispatchTrace::new(0, technique.id())));
         let capture_engine =
             Engine::new(ivm_bpred::IdealBtb::new(), Box::new(PerfectIcache), costs)
-                .with_observer(observer.clone() as SharedObserver);
-        let _ = ivm_core::measure_trace_with(
+                .with_observer(DispatchTrace::new(0, technique.id()));
+        let (_, trace) = ivm_core::measure_trace_with(
             &*image,
             &exec,
             technique,
             capture_engine,
             Some(&training),
         );
-        let trace = observer.borrow().clone();
         assert!(!trace.is_empty(), "{technique}: captured no dispatches");
 
         // Round-trip through the binary format so the sweep sees exactly

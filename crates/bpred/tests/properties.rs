@@ -202,3 +202,77 @@ fn ittage_aliasing_is_deterministic() {
         Ok(())
     });
 }
+
+/// The reference model of a tagged [`Btb`]: each set lists its resident
+/// `(branch, target)` entries in LRU order, least recently used first.
+/// A hit moves its entry to the back; a miss evicts the front entry of a
+/// full set and appends the new one.
+struct ReferenceBtb {
+    assoc: usize,
+    sets: Vec<Vec<(u64, u64)>>,
+}
+
+impl ReferenceBtb {
+    fn new(sets: usize, assoc: usize) -> Self {
+        Self { assoc, sets: vec![Vec::new(); sets] }
+    }
+
+    fn predict_and_update(&mut self, branch: u64, target: u64) -> bool {
+        let n = self.sets.len() as u64;
+        let set = &mut self.sets[(branch % n) as usize];
+        let hit = match set.iter().position(|&(b, _)| b == branch) {
+            Some(i) => set.remove(i).1 == target,
+            None => {
+                if set.len() == self.assoc {
+                    set.remove(0);
+                }
+                false
+            }
+        };
+        set.push((branch, target));
+        hit
+    }
+}
+
+/// The tagged `Btb` gives the reference model's verdict on every event,
+/// over random geometries (1 to 64 sets, 1 to 8 ways) and streams whose
+/// branch pool is larger than the BTB. Branches come mostly from a small
+/// working set, so entries are reused as well as evicted, and each
+/// target follows from its branch and the previous target, as an
+/// interpreter's next routine follows from the current one.
+#[test]
+fn tagged_btb_matches_reference_lru_model() {
+    prop::check("tagged_btb_matches_reference_lru_model", prop::Config::from_env(), |src| {
+        let sets = 1usize << src.int_in(0u32..7);
+        let assoc = src.int_in(1usize..9);
+        let entries = sets * assoc;
+        let pool = entries + src.int_in(1usize..2 * entries + 2);
+        let stride = src.pick(&[1u64, 3, 4, 16, 64]);
+        let working_set = src.int_in(1usize..pool + 1);
+        let targets = src.int_in(1u64..9);
+        let len = src.int_in(1usize..600);
+        let mut stream = Vec::with_capacity(len);
+        let mut previous = 0u64;
+        for _ in 0..len {
+            let b = if src.bool() { src.int_in(0..working_set) } else { src.int_in(0..pool) };
+            let t = (b as u64 * 7 + previous) % targets;
+            previous = t;
+            stream.push((0x1000 + b as u64 * stride, 0x9000 + t * 16));
+        }
+
+        let mut btb = Btb::new(BtbConfig::new(entries, assoc));
+        let mut reference = ReferenceBtb::new(sets, assoc);
+        for (i, &(b, t)) in stream.iter().enumerate() {
+            prop_assert_eq!(
+                btb.predict_and_update(b, t),
+                reference.predict_and_update(b, t),
+                "{}x{} BTB diverged from the LRU model at event {} (branch {:#x})",
+                sets,
+                assoc,
+                i,
+                b
+            );
+        }
+        Ok(())
+    });
+}

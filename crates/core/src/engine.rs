@@ -11,117 +11,43 @@ use crate::spec::OpId;
 use crate::technique::Technique;
 use crate::translate::Translation;
 
-/// Events the engine batches before handing them to its observer.
-///
-/// Large enough to amortise the per-flush `RefCell` borrow and virtual
-/// call over ~1k dispatches, small enough (~25 KiB of parallel arrays)
-/// to stay cache-resident next to the predictor tables.
-const BATCH_CAPACITY: usize = 1024;
-
-/// A struct-of-arrays batch of dispatch events.
-///
-/// The [`Engine`] accumulates every observed dispatch —
-/// `(from, branch, target, mispredicted)` — into these parallel
-/// arrays and hands the whole batch to the observer in one
-/// [`DispatchObserver::dispatch_batch`] call, instead of paying a
-/// `RefCell` borrow plus a virtual call per dispatch. Observers consume
-/// the column slices directly, or walk the rows with
-/// [`DispatchBatch::iter`].
-#[derive(Debug, Clone, Default)]
-pub struct DispatchBatch {
-    from: Vec<usize>,
-    branches: Vec<Addr>,
-    targets: Vec<Addr>,
-    mispredicted: Vec<bool>,
-}
-
-impl DispatchBatch {
-    /// Appends one dispatch event.
-    #[inline]
-    pub fn push(&mut self, from: usize, branch: Addr, target: Addr, miss: bool) {
-        self.from.push(from);
-        self.branches.push(branch);
-        self.targets.push(target);
-        self.mispredicted.push(miss);
-    }
-
-    /// Events currently batched.
-    pub fn len(&self) -> usize {
-        self.branches.len()
-    }
-
-    /// Whether the batch holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.branches.is_empty()
-    }
-
-    /// Drops all events, keeping the allocations.
-    fn clear(&mut self) {
-        self.from.clear();
-        self.branches.clear();
-        self.targets.clear();
-        self.mispredicted.clear();
-    }
-
-    /// Dispatching instances (the instance owning each dispatch branch).
-    pub fn from_instances(&self) -> &[usize] {
-        &self.from
-    }
-
-    /// Dispatch branch addresses.
-    pub fn branches(&self) -> &[Addr] {
-        &self.branches
-    }
-
-    /// Dispatch target addresses.
-    pub fn targets(&self) -> &[Addr] {
-        &self.targets
-    }
-
-    /// Per-event predictor verdicts (`true` = mispredicted).
-    pub fn mispredicted(&self) -> &[bool] {
-        &self.mispredicted
-    }
-
-    /// The batched events in execution order, row at a time:
-    /// `(from, branch, target, mispredicted)`.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, Addr, Addr, bool)> + '_ {
-        (0..self.len())
-            .map(|i| (self.from[i], self.branches[i], self.targets[i], self.mispredicted[i]))
-    }
-}
-
 /// Observes every simulated indirect dispatch with full context.
 ///
 /// For each event, `from` is the instance whose code owns the dispatch
 /// branch (for pre-dispatch stubs such as switch dispatch, the instance
 /// being entered), `branch`/`target` are the simulated native addresses
-/// fed to the predictor, and `mispredicted` is the predictor's verdict. An observer sees exactly the dispatches counted
-/// in [`ivm_cache::PerfCounters::dispatches`], in execution order —
+/// fed to the predictor, and `mispredicted` is the predictor's verdict.
+/// An observer sees exactly the dispatches counted in
+/// [`ivm_cache::PerfCounters::dispatches`], in execution order —
 /// attribution sinks (see the `ivm-obs` crate) build per-opcode and
 /// per-BTB-set breakdowns from this stream.
+///
+/// The [`Engine`] owns its observer as a type parameter and calls it
+/// statically, once per dispatch; [`Measurement::finish`] hands it back
+/// with the run's result, after the last event. `()` is the observer
+/// that ignores everything, and the default.
 pub trait DispatchObserver {
-    /// Called with each full batch of 1024 events as it fills, and with
-    /// the remainder when [`Measurement::finish`] ends the run.
-    fn dispatch_batch(&mut self, batch: &DispatchBatch);
+    /// Called once per dispatch, in execution order.
+    fn dispatch(&mut self, from: usize, branch: Addr, target: Addr, mispredicted: bool);
 }
 
-/// A shareable [`DispatchObserver`] handle: the caller keeps one clone to
-/// read results after the run, the [`Engine`] holds the other.
-pub type SharedObserver = std::rc::Rc<std::cell::RefCell<dyn DispatchObserver>>;
+impl DispatchObserver for () {
+    #[inline(always)]
+    fn dispatch(&mut self, _: usize, _: Addr, _: Addr, _: bool) {}
+}
 
-/// Simulated microarchitectural state fed by an interpreter run.
-pub struct Engine {
+/// Simulated microarchitectural state fed by an interpreter run, plus the
+/// observer `O` that sees each of its dispatches.
+pub struct Engine<O = ()> {
     predictor: AnyPredictor,
     fetch: Box<dyn FetchCache>,
     counters: PerfCounters,
     costs: CycleCosts,
     cpu_name: String,
-    observer: Option<SharedObserver>,
-    batch: DispatchBatch,
+    observer: O,
 }
 
-impl std::fmt::Debug for Engine {
+impl<O> std::fmt::Debug for Engine<O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("cpu", &self.cpu_name)
@@ -139,8 +65,7 @@ impl Engine {
             counters: PerfCounters::default(),
             costs: cpu.costs,
             cpu_name: cpu.name.to_owned(),
-            observer: None,
-            batch: DispatchBatch::default(),
+            observer: (),
         }
     }
 
@@ -159,32 +84,28 @@ impl Engine {
             counters: PerfCounters::default(),
             costs,
             cpu_name: "custom".into(),
-            observer: None,
-            batch: DispatchBatch::default(),
+            observer: (),
         }
     }
+}
 
-    /// Attaches a [`DispatchObserver`]; keep a clone of the handle to read
-    /// the observer's state after [`Measurement::finish`]. Events are
-    /// delivered in [`DispatchBatch`]es, so the cost is one dynamic call
-    /// per batch, not per dispatch; it is off entirely by default.
+impl<O> Engine<O> {
+    /// The same engine with `observer` seeing every dispatch; read it
+    /// back from [`Measurement::finish`].
     #[must_use]
-    pub fn with_observer(mut self, observer: SharedObserver) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// Delivers the batched dispatch events to the observer.
-    fn flush_observer(&mut self) {
-        if self.batch.is_empty() {
-            return;
+    pub fn with_observer<P: DispatchObserver>(self, observer: P) -> Engine<P> {
+        Engine {
+            predictor: self.predictor,
+            fetch: self.fetch,
+            counters: self.counters,
+            costs: self.costs,
+            cpu_name: self.cpu_name,
+            observer,
         }
-        if let Some(obs) = &self.observer {
-            obs.borrow_mut().dispatch_batch(&self.batch);
-        }
-        self.batch.clear();
     }
+}
 
+impl<O: DispatchObserver> Engine<O> {
     fn retire(&mut self, n: u32) {
         self.counters.instructions += u64::from(n);
     }
@@ -202,12 +123,7 @@ impl Engine {
         if !hit {
             self.counters.indirect_mispredicted += 1;
         }
-        if self.observer.is_some() {
-            self.batch.push(from, branch, target, !hit);
-            if self.batch.len() == BATCH_CAPACITY {
-                self.flush_observer();
-            }
-        }
+        self.observer.dispatch(from, branch, target, !hit);
     }
 }
 
@@ -250,18 +166,18 @@ struct View {
 /// instance has been accounted, so the first execution runs the slow code —
 /// matching the paper's quickening semantics.
 #[derive(Debug)]
-pub struct Measurement {
+pub struct Measurement<O = ()> {
     translation: Translation,
-    engine: Engine,
+    engine: Engine<O>,
     /// While `Some(u)`, execution is in non-replicated side-entry code up to
     /// and including instance `u`.
     side_until: Option<u32>,
     pending: Vec<(usize, OpId)>,
 }
 
-impl Measurement {
+impl<O: DispatchObserver> Measurement<O> {
     /// Couples a translation with the engine that simulates it.
-    pub fn new(translation: Translation, engine: Engine) -> Self {
+    pub fn new(translation: Translation, engine: Engine<O>) -> Self {
         Self { translation, engine, side_until: None, pending: Vec::new() }
     }
 
@@ -270,19 +186,20 @@ impl Measurement {
         &self.translation
     }
 
-    /// Ends the run: delivers the last batch of dispatch events to the
-    /// observer and attributes the translation's generated code size.
-    pub fn finish(mut self) -> RunResult {
-        self.engine.flush_observer();
+    /// Ends the run: attributes the translation's generated code size and
+    /// returns the result together with the observer, which has seen
+    /// every dispatch of the run.
+    pub fn finish(mut self) -> (RunResult, O) {
         self.engine.counters.code_bytes = self.translation.code_bytes();
         let cycles = self.engine.counters.cycles(&self.engine.costs);
-        RunResult {
+        let result = RunResult {
             cpu: self.engine.cpu_name,
             technique: self.translation.technique(),
             counters: self.engine.counters,
             cycles,
             icache_set_misses: self.engine.fetch.set_misses(),
-        }
+        };
+        (result, self.engine.observer)
     }
 
     fn in_side(&self, i: usize) -> bool {
@@ -342,7 +259,7 @@ impl Measurement {
     }
 }
 
-impl VmEvents for Measurement {
+impl<O: DispatchObserver> VmEvents for Measurement<O> {
     /// Starts (or restarts) execution at instance `entry`.
     fn begin(&mut self, entry: usize) {
         // Entering mid-superinstruction from outside takes the side path.
@@ -393,67 +310,33 @@ impl VmEvents for Measurement {
 
 #[cfg(test)]
 mod tests {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
     use super::*;
     use ivm_bpred::IdealBtb;
     use ivm_cache::PerfectIcache;
 
-    fn engine() -> Engine {
-        Engine::new(
-            IdealBtb::new(),
-            Box::new(PerfectIcache),
-            CycleCosts { cpi: 1.0, mispredict_penalty: 10.0, icache_miss_penalty: 27.0 },
-        )
-    }
-
-    /// Every delivered event in order, plus the number of batches.
+    /// Every delivered event in order.
     #[derive(Default)]
-    struct Log {
-        events: Vec<(usize, Addr, Addr, bool)>,
-        batches: usize,
-    }
+    struct Log(Vec<(usize, Addr, Addr, bool)>);
 
     impl DispatchObserver for Log {
-        fn dispatch_batch(&mut self, batch: &DispatchBatch) {
-            self.batches += 1;
-            self.events.extend(batch.iter());
+        fn dispatch(&mut self, from: usize, branch: Addr, target: Addr, mispredicted: bool) {
+            self.0.push((from, branch, target, mispredicted));
         }
     }
 
     #[test]
     fn observer_sees_every_dispatch_with_verdict() {
-        let log = Rc::new(RefCell::new(Log::default()));
-        let mut e = engine().with_observer(log.clone());
+        let mut e = Engine::new(
+            IdealBtb::new(),
+            Box::new(PerfectIcache),
+            CycleCosts { cpi: 1.0, mispredict_penalty: 10.0, icache_miss_penalty: 27.0 },
+        )
+        .with_observer(Log::default());
         e.indirect(0, 100, 7); // cold: miss
         e.indirect(0, 100, 7); // warm, monomorphic: hit
         e.indirect(0, 100, 8); // target changed: miss
-        assert!(log.borrow().events.is_empty(), "events stay batched until a flush");
-        e.flush_observer();
-        let seen = log.borrow();
-        assert_eq!(seen.events, vec![(0, 100, 7, true), (0, 100, 7, false), (0, 100, 8, true)]);
+        assert_eq!(e.observer.0, vec![(0, 100, 7, true), (0, 100, 7, false), (0, 100, 8, true)]);
         assert_eq!(e.counters.indirect_mispredicted, 2, "counters agree with observer");
         assert!(format!("{e:?}").contains("custom"), "Debug names the machine");
-    }
-
-    #[test]
-    fn full_batches_flush_automatically_and_preserve_order() {
-        let log = Rc::new(RefCell::new(Log::default()));
-        let mut e = engine().with_observer(log.clone());
-        let n = 2 * BATCH_CAPACITY + 2;
-        for i in 0..n {
-            e.indirect(i, 50 + i as u64, 7);
-        }
-        assert_eq!(log.borrow().batches, 2, "two full batches flushed mid-run");
-        assert_eq!(log.borrow().events.len(), 2 * BATCH_CAPACITY);
-        e.flush_observer();
-        assert_eq!(log.borrow().batches, 3, "the 2-event remainder flushed at the end");
-        let seen = &log.borrow().events;
-        assert_eq!(seen.len(), n);
-        for (i, &(f, b, _, m)) in seen.iter().enumerate() {
-            assert_eq!((f, b), (i, 50 + i as u64), "event {i} out of order");
-            assert!(m, "distinct cold branches all mispredict");
-        }
     }
 }

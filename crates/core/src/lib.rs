@@ -44,7 +44,7 @@
 //!     m.transfer(0, 1, false);
 //!     m.transfer(1, 0, true);
 //! }
-//! let result = m.finish();
+//! let (result, ()) = m.finish();
 //! assert!(result.counters.instructions > 0);
 //! assert!(result.cycles > 0.0);
 //! ```
@@ -75,7 +75,7 @@ pub use dtrace::{
     dispatch_spec_hash, simulate_many, DispatchTrace, DtraceError, IntervalBbv, IntervalIndex,
     SpecHasher, DTRACE_MAGIC, DTRACE_VERSION,
 };
-pub use engine::{DispatchBatch, DispatchObserver, Engine, Measurement, RunResult, SharedObserver};
+pub use engine::{DispatchObserver, Engine, Measurement, RunResult};
 pub use events::{NullEvents, VmEvents};
 pub use guest::{GuestVm, VmError, VmOutput};
 pub use layout::{CodeSpace, Routine, RoutineTable, DYNAMIC_BASE, STATIC_BASE};

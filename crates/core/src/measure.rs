@@ -14,7 +14,7 @@
 use ivm_cache::CpuSpec;
 use ivm_harness::span;
 
-use crate::engine::{Engine, Measurement, RunResult};
+use crate::engine::{DispatchObserver, Engine, Measurement, RunResult};
 use crate::guest::{GuestVm, VmError, VmOutput};
 use crate::profile::{Profile, ProfileCollector};
 use crate::technique::Technique;
@@ -87,7 +87,7 @@ pub fn measure_with<G: GuestVm + ?Sized>(
         let _span = span::enter("execute");
         vm.execute(&mut measurement, vm.default_fuel())?
     };
-    Ok((measurement.finish(), output))
+    Ok((measurement.finish().0, output))
 }
 
 /// Records one run of `vm` as an [`ExecutionTrace`] (plus its output),
@@ -116,24 +116,25 @@ pub fn measure_trace<G: GuestVm + ?Sized>(
     cpu: &CpuSpec,
     training: Option<&Profile>,
 ) -> RunResult {
-    measure_trace_with(vm, trace, technique, Engine::for_cpu(cpu), training)
+    measure_trace_with(vm, trace, technique, Engine::for_cpu(cpu), training).0
 }
 
 /// Like [`measure_trace`], but with a caller-supplied [`Engine`] — the
-/// trace-replay counterpart of [`measure_with`]. Attach a
-/// [`crate::SharedObserver`] to the engine to capture the replay's
-/// dispatch stream (e.g. into a [`crate::DispatchTrace`]) while measuring.
+/// trace-replay counterpart of [`measure_with`] — returning the engine's
+/// observer next to the result. Attach an observer with
+/// [`Engine::with_observer`] to capture the replay's dispatch stream
+/// (e.g. into a [`crate::DispatchTrace`]) while measuring.
 ///
 /// # Panics
 ///
 /// Panics if `technique` needs a profile and `training` is `None`.
-pub fn measure_trace_with<G: GuestVm + ?Sized>(
+pub fn measure_trace_with<G: GuestVm + ?Sized, O: DispatchObserver>(
     vm: &G,
     trace: &ExecutionTrace,
     technique: Technique,
-    engine: Engine,
+    engine: Engine<O>,
     training: Option<&Profile>,
-) -> RunResult {
+) -> (RunResult, O) {
     let translation = {
         let _span = span::enter("translate");
         translate(vm.spec(), vm.program(), technique, training, vm.super_selection())

@@ -72,7 +72,7 @@ fn run(m: &Mini, program: &ProgramCode, tech: Technique, profile: &Profile) -> R
     );
     let mut meas = Measurement::new(t, engine);
     drive(&mut meas, 100);
-    meas.finish()
+    meas.finish().0
 }
 
 fn profile_of(_m: &Mini, program: &ProgramCode) -> Profile {
@@ -287,7 +287,7 @@ fn finite_btb_shows_conflicts_under_replication() {
     );
     let mut meas = Measurement::new(t, tiny);
     drive(&mut meas, 100);
-    let small = meas.finish();
+    let (small, ()) = meas.finish();
 
     let t = translate(&m.spec, &program, Technique::DynamicRepl, None, SuperSelection::gforth());
     let big = Engine::new(
@@ -297,7 +297,7 @@ fn finite_btb_shows_conflicts_under_replication() {
     );
     let mut meas = Measurement::new(t, big);
     drive(&mut meas, 100);
-    let ideal = meas.finish();
+    let (ideal, ()) = meas.finish();
     assert!(small.counters.indirect_mispredicted > ideal.counters.indirect_mispredicted * 4);
 }
 

@@ -30,8 +30,9 @@ use crate::span;
 pub const MAX_ITERS: usize = 32;
 
 /// The result of clustering `n` interval points into `k` phases: which
-/// cluster each point landed in, which member represents each cluster,
-/// and how much whole-run weight each representative carries.
+/// cluster each point landed in and which member represents each cluster.
+/// A representative's whole-run weight is its cluster's share of the
+/// run's events, which the caller computes from the assignments.
 ///
 /// Clusters are canonically ordered by ascending representative index.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,12 +42,6 @@ pub struct Clustering {
     /// Per cluster, the index of the member closest to the cluster
     /// centroid — the interval a sampled simulation actually runs.
     pub representatives: Vec<usize>,
-    /// Per cluster, its share of all points (sizes normalised to sum
-    /// to 1 for non-empty input) — the weight of the representative's
-    /// measurement in the whole-run reconstruction.
-    pub weights: Vec<f64>,
-    /// Per cluster, the number of member points.
-    pub sizes: Vec<usize>,
 }
 
 impl Clustering {
@@ -132,8 +127,7 @@ fn seed_centers(points: &[Vec<f64>], k: usize, rng: &mut Xoshiro256StarStar) -> 
 ///
 /// `k` is clamped to the number of points; `k >= points.len()` therefore
 /// degenerates to the identity clustering (every point its own
-/// representative with weight `1/n`), which is what full-fidelity
-/// pipeline mode relies on.
+/// representative), which is what full-fidelity pipeline mode relies on.
 ///
 /// # Panics
 ///
@@ -143,12 +137,7 @@ pub fn kmeans(points: &[Vec<f64>], k: usize, seed: u64) -> Clustering {
     let _span = span::enter("cluster");
     let n = points.len();
     if n == 0 {
-        return Clustering {
-            assignments: Vec::new(),
-            representatives: Vec::new(),
-            weights: Vec::new(),
-            sizes: Vec::new(),
-        };
+        return Clustering { assignments: Vec::new(), representatives: Vec::new() };
     }
     assert!(k > 0, "cannot cluster into zero phases");
     if let Some(first) = points.first() {
@@ -161,12 +150,7 @@ pub fn kmeans(points: &[Vec<f64>], k: usize, seed: u64) -> Clustering {
         // Full-fidelity mode: every point is its own phase, even when
         // points coincide — K = all intervals must reproduce the
         // unsampled measurement exactly, not collapse duplicates.
-        return Clustering {
-            assignments: (0..n).collect(),
-            representatives: (0..n).collect(),
-            weights: vec![1.0 / n as f64; n],
-            sizes: vec![1; n],
-        };
+        return Clustering { assignments: (0..n).collect(), representatives: (0..n).collect() };
     }
 
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
@@ -233,12 +217,7 @@ pub fn kmeans(points: &[Vec<f64>], k: usize, seed: u64) -> Clustering {
     }
     let assignments: Vec<usize> = assignments.into_iter().map(|a| remap[a]).collect();
     let representatives: Vec<usize> = order.iter().map(|&(r, _)| r).collect();
-    let mut sizes = vec![0usize; representatives.len()];
-    for &a in &assignments {
-        sizes[a] += 1;
-    }
-    let weights = sizes.iter().map(|&s| s as f64 / n as f64).collect();
-    Clustering { assignments, representatives, weights, sizes }
+    Clustering { assignments, representatives }
 }
 
 #[cfg(test)]
@@ -276,8 +255,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(c.sizes, vec![10, 10, 10]);
-        assert!(c.weights.iter().all(|&w| (w - 1.0 / 3.0).abs() < 1e-12));
+        assert!((0..3).all(|cl| c.members(cl).len() == 10));
     }
 
     #[test]
@@ -299,11 +277,14 @@ mod tests {
 
     #[test]
     fn weights_sum_to_one_and_match_members() {
-        let c = kmeans(&blobs(), 4, 9);
-        let total: f64 = c.weights.iter().sum();
-        assert!((total - 1.0).abs() < 1e-12);
+        // The clusters' member lists partition the points, so their point
+        // shares sum to one, and each cluster contains its representative.
+        let pts = blobs();
+        let c = kmeans(&pts, 4, 9);
+        let mut seen: Vec<usize> = (0..c.k()).flat_map(|cl| c.members(cl)).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..pts.len()).collect::<Vec<_>>(), "every point in exactly one cluster");
         for cl in 0..c.k() {
-            assert_eq!(c.members(cl).len(), c.sizes[cl]);
             assert!(c.members(cl).contains(&c.representatives[cl]));
         }
     }
@@ -314,7 +295,6 @@ mod tests {
         let c = kmeans(&pts, 99, 1);
         assert_eq!(c.k(), 5);
         assert_eq!(c.representatives, vec![0, 1, 2, 3, 4]);
-        assert_eq!(c.sizes, vec![1; 5]);
         for (i, &a) in c.assignments.iter().enumerate() {
             assert_eq!(c.representatives[a], i, "every point represents itself");
         }
@@ -325,8 +305,8 @@ mod tests {
         let pts = vec![vec![1.0, 2.0]; 8];
         let c = kmeans(&pts, 3, 5);
         assert!(c.assignments.iter().filter(|&&a| a == 0).count() > 0);
-        let total: f64 = c.weights.iter().sum();
-        assert!((total - 1.0).abs() < 1e-12);
+        let members: usize = (0..c.k()).map(|cl| c.members(cl).len()).sum();
+        assert_eq!(members, pts.len(), "the clusters partition the points");
     }
 
     #[test]

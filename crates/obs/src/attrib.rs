@@ -1,26 +1,21 @@
 //! Misprediction attribution: per instance, per opcode and per BTB set.
 //!
-//! Two sinks share the bookkeeping:
+//! [`DispatchAttribution`] is a [`DispatchObserver`]: the engine owns it
+//! for a run and hands it back from `Measurement::finish`. It attributes
+//! every dispatch to the VM instance owning the dispatch branch —
+//! resolvable to opcodes through the run's [`Translation`]. Callers that
+//! drive a predictor directly (no engine) feed it themselves, choosing
+//! what an instance stands for, e.g. one per dispatch branch.
 //!
-//! * [`DispatchAttribution`] plugs into the engine as a
-//!   [`DispatchObserver`] and attributes every dispatch to the VM instance
-//!   owning the dispatch branch — resolvable to opcodes through the run's
-//!   [`Translation`].
-//! * [`AttributedPredictor`] wraps any [`IndirectPredictor`] for
-//!   replay-style experiments that drive predictors directly (no engine),
-//!   attributing per branch address instead of per instance.
-//!
-//! Both can additionally bucket dispatch branches by BTB set under a
+//! It can additionally bucket dispatch branches by BTB set under a
 //! [`BtbConfig`] geometry, exposing which sets are overloaded — the
 //! software analogue of the set-level probing used in hardware BTB
 //! reverse-engineering work.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
 
-use ivm_bpred::{Addr, BtbConfig, IndirectPredictor};
-use ivm_core::{DispatchBatch, DispatchObserver, Translation};
+use ivm_bpred::{Addr, BtbConfig};
+use ivm_core::{DispatchObserver, Translation};
 
 use crate::json::Json;
 
@@ -66,7 +61,7 @@ pub struct SetConflict {
     pub tally: Tally,
 }
 
-/// Per-set bookkeeping shared by both attribution sinks.
+/// Per-set bookkeeping of a [`DispatchAttribution`].
 #[derive(Debug, Clone)]
 struct SetStats {
     cfg: BtbConfig,
@@ -87,11 +82,6 @@ impl SetStats {
         let set = self.cfg.set_index(branch);
         self.tallies[set].bump(miss);
         self.branches[set].insert(branch);
-    }
-
-    fn clear_counts(&mut self) {
-        self.tallies.iter_mut().for_each(|t| *t = Tally::default());
-        self.branches.iter_mut().for_each(BTreeSet::clear);
     }
 
     fn conflicts(&self) -> Vec<SetConflict> {
@@ -131,12 +121,12 @@ impl SetStats {
     }
 }
 
-/// The engine-side attribution sink.
+/// The attribution sink.
 ///
-/// Attach to an [`ivm_core::Engine`] via [`DispatchAttribution::shared`] +
-/// [`ivm_core::Engine::with_observer`]; keep the handle to read results
-/// after the run. Every dispatch is tallied against the instance owning
-/// the dispatch branch (`from`), which [`DispatchAttribution::per_opcode`]
+/// Attach to an [`ivm_core::Engine`] with
+/// [`ivm_core::Engine::with_observer`]; the run's `Measurement::finish`
+/// returns it. Every dispatch is tallied against the instance owning the
+/// dispatch branch (`from`), which [`DispatchAttribution::per_opcode`]
 /// resolves to opcode names through the [`Translation`].
 #[derive(Debug, Clone, Default)]
 pub struct DispatchAttribution {
@@ -158,13 +148,6 @@ impl DispatchAttribution {
     pub fn with_btb_sets(mut self, cfg: BtbConfig) -> Self {
         self.sets = Some(SetStats::new(cfg));
         self
-    }
-
-    /// Wraps the sink in the shared handle the engine expects; clone the
-    /// handle before passing it to [`ivm_core::Engine::with_observer`].
-    #[must_use]
-    pub fn shared(self) -> Rc<RefCell<Self>> {
-        Rc::new(RefCell::new(self))
     }
 
     /// Per-instance tallies, indexed by instance. Instances never
@@ -221,9 +204,8 @@ impl DispatchAttribution {
     /// Serialises the attribution breakdown; pass the run's opcode name
     /// per instance to include the per-opcode view.
     ///
-    /// Read the sink after `Measurement::finish`, which delivers the last
-    /// batch of dispatches; collect the names from
-    /// [`Translation::op_name`] before `finish` consumes the translation.
+    /// Collect the names from [`Translation::op_name`] before
+    /// `Measurement::finish` consumes the translation.
     pub fn to_json(&self, op_names: Option<&[String]>) -> Json {
         let total = self.total();
         let mut out = Json::obj().with("total", total.to_json());
@@ -251,99 +233,14 @@ impl DispatchAttribution {
 }
 
 impl DispatchObserver for DispatchAttribution {
-    fn dispatch_batch(&mut self, batch: &DispatchBatch) {
-        // Grow the per-instance table once for the whole batch, then tally
-        // straight out of the columnar arrays.
-        let max_from = batch.from_instances().iter().copied().max();
-        if let Some(max_from) = max_from {
-            if max_from >= self.per_instance.len() {
-                self.per_instance.resize(max_from + 1, Tally::default());
-            }
+    fn dispatch(&mut self, from: usize, branch: Addr, _target: Addr, mispredicted: bool) {
+        if from >= self.per_instance.len() {
+            self.per_instance.resize(from + 1, Tally::default());
         }
-        for (&from, &miss) in batch.from_instances().iter().zip(batch.mispredicted()) {
-            self.per_instance[from].bump(miss);
-        }
+        self.per_instance[from].bump(mispredicted);
         if let Some(sets) = &mut self.sets {
-            for (&branch, &miss) in batch.branches().iter().zip(batch.mispredicted()) {
-                sets.record(branch, miss);
-            }
+            sets.record(branch, mispredicted);
         }
-    }
-}
-
-/// A predictor wrapper attributing executions and mispredictions per
-/// branch address (and optionally per BTB set), for experiments that feed
-/// predictors directly rather than through an engine — e.g. the paper's
-/// Table I–IV hand traces.
-///
-/// # Examples
-///
-/// ```
-/// use ivm_bpred::{IdealBtb, IndirectPredictor};
-/// use ivm_obs::AttributedPredictor;
-///
-/// let mut p = AttributedPredictor::new(IdealBtb::new());
-/// p.predict_and_update(0x10, 100);
-/// p.predict_and_update(0x10, 200); // target changed: miss
-/// let tally = p.per_branch()[&0x10];
-/// assert_eq!((tally.executed, tally.mispredicted), (2, 2));
-/// ```
-#[derive(Debug, Clone)]
-pub struct AttributedPredictor<P> {
-    inner: P,
-    per_branch: BTreeMap<Addr, Tally>,
-    sets: Option<SetStats>,
-}
-
-impl<P: IndirectPredictor> AttributedPredictor<P> {
-    /// Wraps `inner` with per-branch attribution.
-    pub fn new(inner: P) -> Self {
-        Self { inner, per_branch: BTreeMap::new(), sets: None }
-    }
-
-    /// Also bucket branches by BTB set under `cfg`.
-    #[must_use]
-    pub fn with_sets(mut self, cfg: BtbConfig) -> Self {
-        self.sets = Some(SetStats::new(cfg));
-        self
-    }
-
-    /// Per-branch tallies, keyed by branch address.
-    pub fn per_branch(&self) -> &BTreeMap<Addr, Tally> {
-        &self.per_branch
-    }
-
-    /// Per-set conflict view (empty without [`AttributedPredictor::with_sets`]).
-    pub fn set_conflicts(&self) -> Vec<SetConflict> {
-        self.sets.as_ref().map(SetStats::conflicts).unwrap_or_default()
-    }
-
-    /// Zeroes the tallies without touching predictor state.
-    pub fn clear_counts(&mut self) {
-        self.per_branch.clear();
-        if let Some(sets) = &mut self.sets {
-            sets.clear_counts();
-        }
-    }
-
-    /// The wrapped predictor.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-}
-
-impl<P: IndirectPredictor> IndirectPredictor for AttributedPredictor<P> {
-    fn predict_and_update(&mut self, branch: Addr, target: Addr) -> bool {
-        let hit = self.inner.predict_and_update(branch, target);
-        self.per_branch.entry(branch).or_default().bump(!hit);
-        if let Some(sets) = &mut self.sets {
-            sets.record(branch, !hit);
-        }
-        hit
-    }
-
-    fn describe(&self) -> String {
-        format!("attributed-{}", self.inner.describe())
     }
 }
 
@@ -375,19 +272,16 @@ pub fn ittage_breakdown_json(bd: &ivm_bpred::IttageBreakdown) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ivm_bpred::IdealBtb;
 
     fn feed(sink: &mut DispatchAttribution, events: &[(usize, Addr, Addr, bool)]) {
-        let mut batch = DispatchBatch::default();
         for &(f, b, tg, m) in events {
-            batch.push(f, b, tg, m);
+            sink.dispatch(f, b, tg, m);
         }
-        sink.dispatch_batch(&batch);
     }
 
     #[test]
     fn ittage_breakdown_json_accounts_every_event() {
-        use ivm_bpred::{Ittage, IttageConfig};
+        use ivm_bpred::{IndirectPredictor, Ittage, IttageConfig};
         let mut p = Ittage::new(IttageConfig::small());
         for i in 0..200u64 {
             p.predict_and_update(0x40 + (i % 3) * 8, 0x1000 + (i % 5) * 64);
@@ -445,25 +339,5 @@ mod tests {
         assert!(j.get("btb_sets").is_some());
         let text = j.to_json();
         crate::json::parse(&text).expect("attribution JSON parses");
-    }
-
-    #[test]
-    fn attributed_predictor_splits_by_branch_and_set() {
-        let cfg = BtbConfig::new(2, 1).tagless();
-        let mut p = AttributedPredictor::new(IdealBtb::new()).with_sets(cfg);
-        // Branches 0 and 2 share set 0 under the 2-set geometry.
-        p.predict_and_update(0, 100);
-        p.predict_and_update(2, 200);
-        p.predict_and_update(0, 100); // ideal BTB: hit (its table is unbounded)
-        assert_eq!(p.per_branch()[&0], Tally { executed: 2, mispredicted: 1 });
-        assert_eq!(p.per_branch()[&2], Tally { executed: 1, mispredicted: 1 });
-        let conflicts = p.set_conflicts();
-        assert_eq!(conflicts.len(), 1);
-        assert_eq!(conflicts[0].distinct_branches, 2);
-        assert_eq!(conflicts[0].tally.executed, 3);
-        assert!(p.describe().starts_with("attributed-"));
-        p.clear_counts();
-        assert!(p.per_branch().is_empty());
-        assert!(p.set_conflicts().is_empty());
     }
 }

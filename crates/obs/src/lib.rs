@@ -4,9 +4,8 @@
 //! counts, cache misses, cycles per technique — so this crate makes every
 //! measurement in the workspace machine-readable and attributable:
 //!
-//! * [`DispatchAttribution`] / [`AttributedPredictor`] — attribution
-//!   sinks breaking mispredictions down per VM opcode, per instance, per
-//!   branch and per BTB set.
+//! * [`DispatchAttribution`] — the attribution sink breaking
+//!   mispredictions down per VM opcode, per instance and per BTB set.
 //! * [`RunManifest`] — the provenance block (workspace version, smoke
 //!   mode, `IVM_*` env overrides, executor, trace-store and phase
 //!   sections) attached to every report.
@@ -29,9 +28,7 @@ mod json;
 mod manifest;
 pub mod span;
 
-pub use attrib::{
-    ittage_breakdown_json, AttributedPredictor, DispatchAttribution, OpTally, SetConflict, Tally,
-};
+pub use attrib::{ittage_breakdown_json, DispatchAttribution, OpTally, SetConflict, Tally};
 pub use json::{parse, Json, ParseError};
 pub use manifest::{smoke_enabled, CellWall, ExecutorMeta, RunManifest, TraceMeta};
 pub use span::PhaseAgg;

@@ -6,18 +6,17 @@
 //! misprediction split must come out exactly as the paper's table says: under threaded dispatch the
 //! shared routine branch of `A` takes both mispredictions, under switch
 //! dispatch every instance takes one. Table III's bad-replication example
-//! is replayed at the predictor level through [`AttributedPredictor`].
+//! is replayed at the predictor level, with misses tallied per branch.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::collections::BTreeMap;
 
 use ivm_bpred::{BtbConfig, IdealBtb, IndirectPredictor};
 use ivm_cache::{CycleCosts, PerfectIcache};
 use ivm_core::{
-    translate, DispatchBatch, DispatchObserver, Engine, InstKind, Measurement, NativeSpec,
-    ProgramCode, SuperSelection, Technique, VmEvents, VmSpec,
+    translate, DispatchObserver, Engine, InstKind, Measurement, NativeSpec, ProgramCode,
+    SuperSelection, Technique, VmEvents, VmSpec,
 };
-use ivm_obs::{AttributedPredictor, DispatchAttribution};
+use ivm_obs::DispatchAttribution;
 
 /// The paper's example VM: opcodes A and B (straight-line) and GOTO.
 fn table1_spec() -> VmSpec {
@@ -50,8 +49,8 @@ type Event = (usize, u64, u64, bool);
 struct Recorder(Vec<Event>);
 
 impl DispatchObserver for Recorder {
-    fn dispatch_batch(&mut self, batch: &DispatchBatch) {
-        self.0.extend(batch.iter());
+    fn dispatch(&mut self, from: usize, branch: u64, target: u64, mispredicted: bool) {
+        self.0.push((from, branch, target, mispredicted));
     }
 }
 
@@ -61,9 +60,8 @@ fn dispatches(technique: Technique, iterations: usize) -> Vec<Event> {
     let spec = table1_spec();
     let program = table1_program(&spec);
     let translation = translate(&spec, &program, technique, None, SuperSelection::gforth());
-    let recorder = Rc::new(RefCell::new(Recorder::default()));
     let engine = Engine::new(IdealBtb::new(), Box::new(PerfectIcache), CycleCosts::celeron())
-        .with_observer(recorder.clone());
+        .with_observer(Recorder::default());
     let mut m = Measurement::new(translation, engine);
     m.begin(0);
     let iteration = [(0, 1, false), (1, 2, false), (2, 3, false), (3, 0, true)];
@@ -72,8 +70,8 @@ fn dispatches(technique: Technique, iterations: usize) -> Vec<Event> {
             m.transfer(from, to, taken);
         }
     }
-    m.finish();
-    recorder.take().0
+    let (_, recorder) = m.finish();
+    recorder.0
 }
 
 /// Attributes one steady-state iteration of the Table I loop under
@@ -84,12 +82,10 @@ fn steady_state_attribution(
     technique: Technique,
 ) -> (DispatchAttribution, Vec<(String, u64, u64)>) {
     let warm_up = dispatches(technique, 1).len();
-    let mut batch = DispatchBatch::default();
-    for &(from, branch, target, miss) in &dispatches(technique, 2)[warm_up..] {
-        batch.push(from, branch, target, miss);
-    }
     let mut sink = DispatchAttribution::new().with_btb_sets(BtbConfig::celeron());
-    sink.dispatch_batch(&batch);
+    for &(from, branch, target, miss) in &dispatches(technique, 2)[warm_up..] {
+        sink.dispatch(from, branch, target, miss);
+    }
 
     let spec = table1_spec();
     let translation =
@@ -168,16 +164,18 @@ fn table3_bad_replication_adds_a_misprediction() {
     const B2: u64 = 0xB20;
     const GOTO: u64 = 0xC00;
 
-    let steady_misses = |seq: &[(u64, u64)]| -> std::collections::BTreeMap<u64, u64> {
-        let mut p = AttributedPredictor::new(IdealBtb::new()).with_sets(BtbConfig::celeron());
+    // Misses per branch in the second (steady-state) pass over `seq`.
+    let steady_misses = |seq: &[(u64, u64)]| -> BTreeMap<u64, u64> {
+        let mut p = IdealBtb::new();
         for &(branch, target) in seq {
             p.predict_and_update(branch, target);
         }
-        p.clear_counts();
+        let mut misses = BTreeMap::new();
         for &(branch, target) in seq {
-            p.predict_and_update(branch, target);
+            let hit = p.predict_and_update(branch, target);
+            *misses.entry(branch).or_default() += u64::from(!hit);
         }
-        p.per_branch().iter().map(|(&b, t)| (b, t.mispredicted)).collect()
+        misses
     };
 
     // Original code `A B A B A GOTO`: br-A alternates B, B, GOTO.

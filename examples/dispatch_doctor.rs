@@ -32,17 +32,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let translation =
         translate(&o.spec, &image.program, technique, training.as_ref(), SuperSelection::gforth());
 
-    let attribution = DispatchAttribution::new().shared();
-    let engine = Engine::for_cpu(&cpu).with_observer(attribution.clone());
+    let engine = Engine::for_cpu(&cpu).with_observer(DispatchAttribution::new());
     let mut m = Measurement::new(translation, engine);
     forth::run(&image, &mut m, forth::DEFAULT_FUEL)?;
-    // Resolve instances to words before `finish` consumes the translation;
-    // `finish` flushes the last batch of dispatches into the attribution.
+    // Resolve instances to words before `finish` consumes the translation.
     let words: Vec<String> =
         (0..image.program.len()).map(|i| m.translation().op_name(i).to_owned()).collect();
-    let r = m.finish();
+    let (r, attribution) = m.finish();
 
-    let attribution = attribution.borrow();
     let mut worst: Vec<(usize, _)> =
         attribution.per_instance().iter().copied().enumerate().collect();
     worst.sort_by(|a, b| b.1.mispredicted.cmp(&a.1.mispredicted).then(a.0.cmp(&b.0)));

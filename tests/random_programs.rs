@@ -237,7 +237,7 @@ fn run_technique(
     );
     let mut m = Measurement::new(t, engine);
     walk(vm, program, decisions, &mut m);
-    m.finish()
+    m.finish().0
 }
 
 /// The body shared by `all_techniques_survive_random_programs` and the
