@@ -1,7 +1,7 @@
 //! Does the paper's advice survive 2025 silicon? The paper's conclusions
 //! — replication beats superinstructions because BTBs are the binding
 //! constraint — are calibrated to a Celeron BTB and a Northwood P4. This
-//! binary replays the captured dispatch-trace grid (replication ladder,
+//! binary streams the dispatches of a technique grid (replication ladder,
 //! superinstruction axis, all three frontends) through the classic
 //! predictors *and* the modern zoo (path-history hybrid, ITTAGE family)
 //! and prints the crossover analysis: which techniques still pay under
@@ -10,9 +10,9 @@
 //!
 //! Run with: `cargo run --release -p ivm-bench --bin modern_zoo`
 
-use ivm_bench::{frontends, predictor_registry, run_cells, smoke, trace_store, Cell, Report, Row};
+use ivm_bench::{frontends, pipeline, predictor_registry, run_cells, smoke, Cell, Report, Row};
 use ivm_bpred::AnyPredictor;
-use ivm_core::{simulate_many, CoverAlgorithm, ReplicaSelection, Technique};
+use ivm_core::{CoverAlgorithm, PredictorSweep, ReplicaSelection, Technique};
 use ivm_obs::{ittage_breakdown_json, Json};
 
 /// The classic half of the zoo: the paper-era predictors.
@@ -97,7 +97,7 @@ fn main() {
     let paper_btb_col = all_names.iter().position(|n| *n == PAPER_BTB).expect("btb in zoo");
 
     // One representative benchmark per frontend — the heaviest member of
-    // each smoke-safe subset, matching the other capture-then-sweep bins.
+    // each smoke-safe subset, matching the other sweep bins.
     let picks: Vec<(&'static str, &'static str)> = frontends()
         .iter()
         .map(|f| {
@@ -122,9 +122,9 @@ fn main() {
         })
         .collect();
 
-    // One cell per (frontend, technique) captures its dispatch trace and
-    // sweeps the whole zoo over it in a single decode pass, so no trace
-    // outlives its sweep. The dispatch stream does not depend on the
+    // One cell per (frontend, technique) replays the recorded run and
+    // sweeps the whole zoo over its dispatches as they stream, so no cell
+    // holds a dispatch trace. The dispatch stream does not depend on the
     // predictor, so every rate is bit-identical to a live engine run with
     // that predictor.
     let mut all_rows: Vec<(usize, Vec<SweepOut>)> = Vec::new();
@@ -138,16 +138,9 @@ fn main() {
             .map(|&t| Cell::new(format!("modern_zoo/sweep/{fname}/{}", t.id()), t))
             .collect();
         let outs = run_cells(cells, |cell, _| {
-            let stored = trace_store().get_or_capture(
-                fname,
-                bench,
-                &*image,
-                &exec,
-                cell.input,
-                Some(&training),
-            );
-            let mut predictors = build(&all_names);
-            let stats = simulate_many(stored.trace(), &mut predictors);
+            let sweep = PredictorSweep::new(build(&all_names));
+            let (stats, predictors) =
+                pipeline::replay(&*image, &exec, cell.input, Some(&training), sweep).finish();
             let attribution = predictors[modern_ref_col]
                 .ittage_breakdown()
                 .map(ittage_breakdown_json)

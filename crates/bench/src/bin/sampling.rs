@@ -18,7 +18,7 @@
 use ivm_bench::pipeline::{self, Estimate};
 use ivm_bench::{frontend, predictor_registry, run_cells, smoke, Cell, Report, Row};
 use ivm_bpred::AnyPredictor;
-use ivm_core::Technique;
+use ivm_core::{DispatchTrace, Technique};
 use ivm_obs::Json;
 
 /// The (interval size, K) sweep grid.
@@ -48,6 +48,22 @@ struct ConfigOut {
     estimates: Vec<Estimate>,
 }
 
+/// One cell of the sweep batch: pick `pick`'s full registry sweep
+/// (`config: None`) or one sampled `(interval size, K)` configuration.
+#[derive(Clone, Copy)]
+struct SweepCell {
+    pick: usize,
+    config: Option<(u64, usize)>,
+}
+
+/// What a [`SweepCell`] computes.
+enum SweepOut {
+    /// Full-sweep misprediction rates (%), in registry order.
+    Full(Vec<f64>),
+    /// One sampled configuration's outcome.
+    Sampled(ConfigOut),
+}
+
 fn main() {
     let mut report = Report::new("sampling");
     let registry = predictor_registry();
@@ -62,53 +78,84 @@ fn main() {
     ]
     .into();
 
-    let mut readings: Vec<String> = Vec::new();
-    let mut sweep_json = Json::obj();
-    for (fname, bench) in picks {
+    // Stage 1: one cell per pick records the run, trains and captures
+    // the dispatch trace, which the plans need whole.
+    let cells: Vec<Cell<(&str, &str)>> = picks
+        .iter()
+        .map(|&(fname, bench)| {
+            Cell::new(format!("sampling/capture/{fname}/{bench}"), (fname, bench))
+        })
+        .collect();
+    let traces: Vec<DispatchTrace> = run_cells(cells, |cell, _| {
+        let (fname, bench) = cell.input;
         let fe = frontend(fname);
+        let image = fe.image(bench);
+        let (exec, _) = ivm_core::record(&*image).expect("recording run");
+        let training = fe.training_for(bench);
+        pipeline::capture(&*image, &exec, Technique::Threaded, Some(&training))
+    });
 
-        // Stage 1: capture (one executor cell; cached across runs).
-        let stored =
-            run_cells(vec![Cell::new(format!("sampling/capture/{fname}/{bench}"), ())], |_, _| {
-                pipeline::capture(fname, bench, Technique::Threaded)
-            })
-            .pop()
-            .expect("one capture cell");
-        let trace = stored.trace();
-        let full_events = trace.len() as u64;
-
-        // Stage 2 (reference): the full single-pass registry sweep.
-        let full_pct =
-            run_cells(vec![Cell::new(format!("sampling/full/{fname}/{bench}"), ())], |_, _| {
+    // Stages 2–3, one batch: the full single-pass registry sweeps (the
+    // reference, and the costliest cells) first, then every pick's
+    // sampled configurations — plan + representative-interval simulation
+    // + weighted combine — so no worker waits on one long sweep.
+    let mut cells: Vec<Cell<SweepCell>> = Vec::new();
+    for (pick, (fname, bench)) in picks.iter().enumerate() {
+        let id = format!("sampling/full/{fname}/{bench}");
+        cells.push(Cell::new(id, SweepCell { pick, config: None }));
+    }
+    for (pick, (fname, bench)) in picks.iter().enumerate() {
+        for (ival, k) in configs() {
+            let id = format!("sampling/sampled/{fname}/{bench}/i{ival}k{k}");
+            cells.push(Cell::new(id, SweepCell { pick, config: Some((ival, k)) }));
+        }
+    }
+    let jobs: Vec<SweepCell> = cells.iter().map(|c| c.input).collect();
+    let outs = run_cells(cells, |cell, _| {
+        let trace = &traces[cell.input.pick];
+        match cell.input.config {
+            None => {
                 let mut predictors: Vec<AnyPredictor> =
                     predictor_registry().iter().map(|(_, build)| build()).collect();
-                ivm_core::simulate_many(trace, &mut predictors)
+                SweepOut::Full(
+                    ivm_core::simulate_many(trace, &mut predictors)
+                        .iter()
+                        .map(|s| 100.0 * s.misprediction_rate())
+                        .collect(),
+                )
+            }
+            Some((interval_len, k)) => {
+                let plan = pipeline::plan(trace, interval_len, k);
+                let estimates: Vec<Estimate> = predictor_registry()
                     .iter()
-                    .map(|s| 100.0 * s.misprediction_rate())
-                    .collect::<Vec<f64>>()
-            })
-            .pop()
-            .expect("one full-sweep cell");
-
-        // Stages 2–3 (sampled): plan + representative-interval simulation
-        // + weighted combine, one executor cell per sweep configuration.
-        let cells: Vec<Cell<(u64, usize)>> = configs()
-            .iter()
-            .map(|&(ival, k)| {
-                Cell::new(format!("sampling/sampled/{fname}/{bench}/i{ival}k{k}"), (ival, k))
-            })
-            .collect();
-        let outs: Vec<ConfigOut> = run_cells(cells, |cell, _| {
-            let (interval_len, k) = cell.input;
-            let plan = pipeline::plan(trace, interval_len, k);
-            let estimates: Vec<Estimate> = predictor_registry()
-                .iter()
-                .map(|(_, build)| {
-                    pipeline::combine(&pipeline::simulate_sampled(trace, &plan, build))
+                    .map(|(_, build)| {
+                        pipeline::combine(&pipeline::simulate_sampled(trace, &plan, build))
+                    })
+                    .collect();
+                SweepOut::Sampled(ConfigOut {
+                    interval_len,
+                    k_requested: k,
+                    k_effective: plan.k(),
+                    estimates,
                 })
-                .collect();
-            ConfigOut { interval_len, k_requested: k, k_effective: plan.k(), estimates }
-        });
+            }
+        }
+    });
+    let mut full: Vec<Vec<f64>> = vec![Vec::new(); picks.len()];
+    let mut sampled: Vec<Vec<ConfigOut>> = picks.iter().map(|_| Vec::new()).collect();
+    for (job, out) in jobs.iter().zip(outs) {
+        match out {
+            SweepOut::Full(rates) => full[job.pick] = rates,
+            SweepOut::Sampled(o) => sampled[job.pick].push(o),
+        }
+    }
+
+    let mut readings: Vec<String> = Vec::new();
+    let mut sweep_json = Json::obj();
+    for (pi, &(fname, bench)) in picks.iter().enumerate() {
+        let fe = frontend(fname);
+        let full_events = traces[pi].len() as u64;
+        let (full_pct, outs) = (&full[pi], &sampled[pi]);
 
         // Stage 4: thin consumers of the combined artifacts.
         let rows: Vec<Row> = outs
@@ -117,7 +164,7 @@ fn main() {
                 let gaps: Vec<f64> = o
                     .estimates
                     .iter()
-                    .zip(&full_pct)
+                    .zip(full_pct)
                     .map(|(e, &f)| (e.rate_pct - f).abs())
                     .collect();
                 let within = gaps.iter().zip(&o.estimates).filter(|(g, e)| **g <= e.err_pp).count();
@@ -162,7 +209,7 @@ fn main() {
                     fe.display, o.interval_len, o.k_requested
                 ),
                 &cols,
-                &pipeline::error_rows(&names, &full_pct, &o.estimates),
+                &pipeline::error_rows(&names, full_pct, &o.estimates),
                 3,
             );
             readings.push(format!(
@@ -185,7 +232,7 @@ fn main() {
             .map(|o| {
                 let preds: Vec<Json> = names
                     .iter()
-                    .zip(o.estimates.iter().zip(&full_pct))
+                    .zip(o.estimates.iter().zip(full_pct))
                     .map(|(name, (e, &f))| {
                         Json::obj()
                             .with("name", *name)

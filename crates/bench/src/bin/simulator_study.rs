@@ -8,10 +8,10 @@
 //!
 //! Run with: `cargo run --release -p ivm-bench --bin simulator_study -- [benchmark]`
 
-use ivm_bench::{frontend, run_cells, smoke, trace_store, Cell, Report, Row};
-use ivm_bpred::{AnyPredictor, Btb, BtbConfig, IdealBtb};
+use ivm_bench::{frontend, pipeline, run_cells, smoke, Cell, Report, Row};
+use ivm_bpred::{Btb, BtbConfig, IdealBtb};
 use ivm_cache::{CycleCosts, Icache, IcacheConfig};
-use ivm_core::{simulate_many, Engine, Technique};
+use ivm_core::{Engine, PredictorSweep, Technique};
 
 fn techniques() -> Vec<Technique> {
     vec![Technique::Threaded, Technique::DynamicRepl, Technique::DynamicSuper, Technique::AcrossBb]
@@ -44,27 +44,19 @@ fn main() {
         })
         .collect();
 
-    // Capture-then-sweep: record the execution once, then one cell per
-    // technique captures its dispatch trace (cached in the trace store)
-    // and drives every BTB geometry over it in a single pass. The
-    // dispatch stream does not depend on the predictor, so the rates are
-    // bit-identical to re-running the interpreter per geometry.
+    // Record the execution once, then one cell per technique replays it
+    // and drives every BTB geometry over its dispatches as they stream.
+    // The dispatch stream does not depend on the predictor, so the rates
+    // are bit-identical to re-running the interpreter per geometry.
     let image = forth.image(bench);
     let (exec, _) = ivm_core::record(&*image).expect("recording run");
     let cells: Vec<Cell<Technique>> =
         techniques().into_iter().map(|t| Cell::new(format!("simstudy/btb-sweep/{t}"), t)).collect();
     let rates = run_cells(cells, |cell, _| {
-        let stored = trace_store().get_or_capture(
-            "forth",
-            bench,
-            &*image,
-            &exec,
-            cell.input,
-            Some(&training),
-        );
-        let mut predictors: Vec<AnyPredictor> =
-            geometries.iter().map(|(_, cfg)| Btb::new(*cfg).into()).collect();
-        let stats = simulate_many(stored.trace(), &mut predictors);
+        let sweep =
+            PredictorSweep::new(geometries.iter().map(|(_, cfg)| Btb::new(*cfg).into()).collect());
+        let (stats, _) =
+            pipeline::replay(&*image, &exec, cell.input, Some(&training), sweep).finish();
         stats.iter().map(|s| 100.0 * s.misprediction_rate()).collect::<Vec<f64>>()
     });
     let rows: Vec<Row> = geometries
@@ -75,14 +67,7 @@ fn main() {
             values: rates.iter().map(|per_geometry| per_geometry[gi]).collect(),
         })
         .collect();
-    let cols: Vec<&str> = techniques()
-        .iter()
-        .map(|t| t.paper_name())
-        .map(|s| {
-            // leak is fine in a short-lived report binary
-            Box::leak(s.to_owned().into_boxed_str()) as &str
-        })
-        .collect();
+    let cols: Vec<&str> = techniques().iter().map(Technique::paper_name).collect();
     report.table(
         &format!("Misprediction rate (%) of {name} across BTB geometries (perfect I-cache)"),
         &cols,

@@ -35,9 +35,8 @@ pub mod report;
 pub mod tracestore;
 
 pub use ivm_harness::par::{Cell, CellCtx};
-pub use pipeline::SamplingPlan;
 pub use report::{json_enabled, Report};
-pub use tracestore::{predictor_registry, trace_meta, trace_store, StoredTrace, TraceStore};
+pub use tracestore::{predictor_registry, trace_meta, StoredTrace, TraceStore};
 
 use std::sync::{Arc, Mutex, OnceLock};
 

@@ -3,14 +3,17 @@
 //! Report binaries used to run execution, simulation and rendering as one
 //! monolithic pass per cell. This module splits the measurement into
 //! explicit stages with artifacts between them, so each stage can be
-//! cached, parallelised and (for simulation) *sampled*:
+//! parallelised and (for simulation) *sampled*:
 //!
-//! 1. **capture** ([`capture`]) — one dispatch trace per
-//!    `(frontend, benchmark, technique)`, served from the process-wide
-//!    [`crate::trace_store`] (and its on-disk cache).
-//! 2. **simulate** — predictors run over either the full trace
-//!    ([`ivm_core::simulate_many`], bit-identical to the pre-pipeline
-//!    path) or only the representative intervals of a [`SamplingPlan`]
+//! 1. **capture** ([`replay`], [`capture`]) — one replay per
+//!    `(frontend, benchmark, technique)` on the capture machine. A sweep
+//!    observes the replay as it streams ([`ivm_core::PredictorSweep`]);
+//!    only a study that needs random access to the stream, as the
+//!    sampling plan does, keeps it as an in-memory [`DispatchTrace`].
+//! 2. **simulate** — predictors run over either the full stream
+//!    ([`ivm_core::PredictorSweep`] or [`ivm_core::simulate_many`],
+//!    bit-identical to a live run with each predictor) or only the
+//!    representative intervals of a [`SamplingPlan`]
 //!    ([`simulate_sampled`]), each preceded by a warm-up replay of the
 //!    interval before it.
 //! 3. **combine** ([`combine`]) — weighted reconstruction of the
@@ -53,13 +56,14 @@
 //! single-pass sweep — committed `results/*.txt` are unchanged by this
 //! refactor.
 
-use std::sync::Arc;
-
-use ivm_bpred::AnyPredictor;
-use ivm_core::{DispatchTrace, IntervalIndex, SpecHasher, Technique};
+use ivm_bpred::{AnyPredictor, IdealBtb};
+use ivm_cache::{CycleCosts, PerfectIcache};
+use ivm_core::{
+    dispatch_spec_hash, DispatchObserver, DispatchTrace, Engine, ExecutionTrace, GuestVm,
+    IntervalIndex, Profile, SpecHasher, Technique,
+};
 use ivm_harness::cluster::Clustering;
 
-use crate::tracestore::StoredTrace;
 use crate::Row;
 
 /// Representative intervals audited per cluster (bounded by cluster
@@ -77,18 +81,45 @@ pub const ERR_FLOOR_PP: f64 = 0.25;
 // Stage 1: capture
 // ---------------------------------------------------------------------------
 
-/// The capture stage: the dispatch trace of `(frontend, bench,
-/// technique)`, recorded now or served from the trace cache.
+/// Replays `exec` of `vm` under `technique` on the capture machine, an
+/// ideal BTB with a perfect I-cache, and returns `observer` after it has
+/// seen every dispatch.
+///
+/// The dispatch stream does not depend on the machine model: control
+/// flow never consults the predictor or the caches, so the cheapest
+/// machine there is serves every study.
 ///
 /// # Panics
 ///
-/// Panics if the benchmark is unknown or its recording run fails.
-pub fn capture(frontend: &str, bench: &'static str, technique: Technique) -> Arc<StoredTrace> {
-    let fe = crate::frontend(frontend);
-    let image = fe.image(bench);
-    let (exec, _) = ivm_core::record(&*image).expect("recording run");
-    let training = fe.training_for(bench);
-    crate::trace_store().get_or_capture(frontend, bench, &*image, &exec, technique, Some(&training))
+/// Panics if `technique` needs a profile and `training` is `None`.
+pub fn replay<G: GuestVm + ?Sized, O: DispatchObserver>(
+    vm: &G,
+    exec: &ExecutionTrace,
+    technique: Technique,
+    training: Option<&Profile>,
+    observer: O,
+) -> O {
+    let engine = Engine::new(IdealBtb::new(), Box::new(PerfectIcache), CycleCosts::celeron())
+        .with_observer(observer);
+    ivm_core::measure_trace_with(vm, exec, technique, engine, training).1
+}
+
+/// The capture stage for studies that need the whole stream at once:
+/// the [`replay`] of `exec` kept as a [`DispatchTrace`], tagged with the
+/// [`dispatch_spec_hash`] of its translation (which seeds [`plan`]).
+///
+/// # Panics
+///
+/// Panics if `technique` needs a profile and `training` is `None`.
+pub fn capture<G: GuestVm + ?Sized>(
+    vm: &G,
+    exec: &ExecutionTrace,
+    technique: Technique,
+    training: Option<&Profile>,
+) -> DispatchTrace {
+    let _span = ivm_obs::span::enter("trace_capture");
+    let hash = dispatch_spec_hash(vm.spec(), vm.program(), technique, training);
+    replay(vm, exec, technique, training, DispatchTrace::new(hash, technique.id()))
 }
 
 // ---------------------------------------------------------------------------
@@ -308,6 +339,8 @@ pub fn error_rows(names: &[&str], full_pct: &[f64], estimates: &[Estimate]) -> V
 mod tests {
     use super::*;
     use ivm_bpred::{Btb, BtbConfig};
+    use ivm_cache::{CpuSpec, PredictorKind};
+    use ivm_core::ReplicaSelection;
 
     /// A two-phase synthetic stream: a tight monomorphic loop, then a
     /// phase alternating between two targets (BTB-hostile).
@@ -394,5 +427,46 @@ mod tests {
         let rows = error_rows(&["btb"], &[2.4], &[est]);
         assert_eq!(rows[0].label, "btb");
         assert_eq!(rows[0].values, vec![2.4, 2.5, 2.5 - 2.4, 0.3]);
+    }
+
+    #[test]
+    fn capture_stream_does_not_depend_on_the_machine() {
+        // Capture replays on an ideal BTB with a perfect I-cache. Its
+        // stream must equal what an observer records on full machine
+        // models: the Pentium 4, with its trace cache, and the Pentium M,
+        // whose history predictor misses where the ideal BTB hits.
+        let fe = crate::frontend("forth");
+        let image = fe.image("brew");
+        let (exec, _) = ivm_core::record(&*image).expect("recording run");
+        let training = fe.training_for("brew");
+        let static_repl =
+            Technique::StaticRepl { budget: 100, selection: ReplicaSelection::RoundRobin };
+        for cpu in [CpuSpec::pentium4_northwood(), CpuSpec::pentium_m()] {
+            for technique in [Technique::Threaded, static_repl] {
+                let captured = capture(&*image, &exec, technique, Some(&training));
+                let hash =
+                    dispatch_spec_hash(image.spec(), image.program(), technique, Some(&training));
+                assert_eq!(captured.spec_hash(), hash, "capture tags the spec hash");
+                let engine =
+                    Engine::for_cpu(&cpu).with_observer(DispatchTrace::new(hash, technique.id()));
+                let (run, observed) = ivm_core::measure_trace_with(
+                    &*image,
+                    &exec,
+                    technique,
+                    engine,
+                    Some(&training),
+                );
+                let label = format!("{}/{technique}", cpu.name);
+                assert!(run.counters.icache_misses > 0, "{label}: the I-cache misses");
+                if matches!(cpu.predictor, PredictorKind::TwoLevel(_)) {
+                    let ideal = ivm_core::simulate_many(&captured, &mut [IdealBtb::new().into()]);
+                    assert_ne!(
+                        run.counters.indirect_mispredicted, ideal[0].mispredicted,
+                        "{label}: the machine must predict unlike the capture machine"
+                    );
+                }
+                assert_eq!(captured, observed, "{label}: streams differ");
+            }
+        }
     }
 }

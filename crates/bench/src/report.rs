@@ -80,15 +80,12 @@ impl Report {
 
     /// Serialises the full document (manifest first). The manifest carries
     /// the parallel executor's accumulated wall-time metadata when any
-    /// cells ran through [`crate::run_cells`], the dispatch-trace
-    /// cache statistics when any traces were acquired through
-    /// [`crate::trace_store`], and the per-phase span wall-time
-    /// aggregates recorded so far (the `phases` section).
+    /// cells ran through [`crate::run_cells`], and the per-phase span
+    /// wall-time aggregates recorded so far (the `phases` section).
     pub fn to_json(&self) -> Json {
         let phases = ivm_obs::span::aggregate(&ivm_obs::span::snapshot());
         let manifest = RunManifest::capture(&self.name)
             .with_executor(crate::executor_meta())
-            .with_trace(crate::trace_meta())
             .with_phases(Some(phases))
             .to_json();
         let mut doc = Json::obj().with("manifest", manifest);

@@ -1,6 +1,10 @@
-//! The dispatch-trace cache: capture each cell's predictor-input stream
-//! once, persist it to `results/traces/`, and sweep predictors over the
-//! frozen stream instead of re-running the interpreter.
+//! The on-disk dispatch-trace cache: capture a cell's predictor-input
+//! stream once, persist it as a `.dtrace` file, and serve later acquires
+//! from the file instead of re-running the interpreter.
+//!
+//! No report binary uses the cache: they sweep predictors over the
+//! replay as it streams (see [`crate::pipeline`]). Only perfbench's
+//! `zoo-sweep` and `sampled-sweep` workloads still acquire traces here.
 //!
 //! The cache is keyed by `(frontend, benchmark, technique)` — the
 //! [`ivm_core::Technique::id`] encodes every parameter, so two budgets of
@@ -8,33 +12,22 @@
 //! [`ivm_core::dispatch_spec_hash`] of the translation it was captured
 //! from. A disk file whose hash no longer matches the freshly computed
 //! one (the instruction set, program, technique or training profile
-//! changed) is discarded and recaptured, so stale traces can never leak
-//! into results.
+//! changed) is discarded and recaptured. The hash omits the VM's
+//! superinstruction selection and the translator's layout constants, so
+//! a file can outlive a change to either.
 //!
-//! The store is a disk cache only: it keeps no trace in memory. Each
-//! acquire returns a trace loaded from disk or captured on the spot,
-//! owned by the caller and freed when the caller drops it.
-//!
-//! Under `IVM_SMOKE` the store has no directory, so every acquire
-//! captures: smoke workloads are tiny and must not pollute (or depend
-//! on) the on-disk cache. Otherwise traces live under `IVM_TRACE_DIR`,
-//! defaulting to `<workspace>/results/traces/`, which is gitignored.
-//! Setting `IVM_TRACE_DIR` explicitly re-enables persistence even under
-//! smoke — CI's determinism job uses this to byte-compare trace files
-//! across worker counts.
+//! The store keeps no trace in memory. Each acquire returns a trace
+//! loaded from disk or captured on the spot, owned by the caller and
+//! freed when the caller drops it.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use ivm_bpred::{
     AnyPredictor, Btb, BtbConfig, CascadedPredictor, IdealBtb, Ittage, IttageConfig, PathHybrid,
     PathHybridConfig, TwoBitBtb, TwoLevelConfig, TwoLevelPredictor,
 };
-use ivm_cache::{CycleCosts, PerfectIcache};
-use ivm_core::{
-    dispatch_spec_hash, DispatchTrace, Engine, ExecutionTrace, GuestVm, Profile, Technique,
-};
-use ivm_obs::TraceMeta;
+use ivm_core::{dispatch_spec_hash, DispatchTrace, ExecutionTrace, GuestVm, Profile, Technique};
 
 /// Builds one fresh predictor instance for a sweep. Returning the
 /// enum-dispatched [`AnyPredictor`] keeps the sweep's inner loops
@@ -75,21 +68,39 @@ pub fn predictor_registry() -> Vec<(&'static str, PredictorBuilder)> {
     registry
 }
 
-/// Process-wide trace-cache statistics, merged into the report manifest.
+/// How the trace cache behaved in this process: captures versus cache
+/// hits, and the volume of trace data involved.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct TraceMeta {
+    /// Traces captured fresh (cache misses).
+    pub captured: usize,
+    /// Traces loaded from a valid file in the cache.
+    pub cache_hits: usize,
+    /// Total dispatch events across all acquired traces.
+    pub events: u64,
+    /// Total encoded size of those traces, in bytes.
+    pub bytes: u64,
+}
+
+/// Process-wide trace-cache statistics.
 static TRACE_META: Mutex<Option<TraceMeta>> = Mutex::new(None);
 
 /// The trace-cache statistics accumulated so far, if any traces were
-/// acquired. Attached to report manifests by [`crate::Report::finish`].
+/// acquired.
 pub fn trace_meta() -> Option<TraceMeta> {
     TRACE_META.lock().expect("trace metadata lock").clone()
 }
 
 fn record_meta(cache_hit: bool, events: u64, bytes: u64) {
-    TRACE_META
-        .lock()
-        .expect("trace metadata lock")
-        .get_or_insert_with(TraceMeta::default)
-        .absorb(cache_hit, events, bytes);
+    let mut meta = TRACE_META.lock().expect("trace metadata lock");
+    let meta = meta.get_or_insert_with(TraceMeta::default);
+    if cache_hit {
+        meta.cache_hits += 1;
+    } else {
+        meta.captured += 1;
+    }
+    meta.events += events;
+    meta.bytes += bytes;
 }
 
 /// One acquired dispatch trace. The store does not keep it: it lives as
@@ -106,39 +117,16 @@ impl StoredTrace {
     }
 }
 
-/// The dispatch-trace cache: an optional directory of `.dtrace` files and
-/// nothing in memory.
+/// The dispatch-trace cache: a directory of `.dtrace` files and nothing
+/// in memory. No report binary reaches it; perfbench is its only caller.
 pub struct TraceStore {
-    dir: Option<PathBuf>,
-}
-
-/// The global [`TraceStore`], configured from the environment on first
-/// use (`IVM_SMOKE` → no directory; `IVM_TRACE_DIR` overrides the
-/// default `<workspace>/results/traces/`).
-pub fn trace_store() -> &'static TraceStore {
-    static STORE: OnceLock<TraceStore> = OnceLock::new();
-    STORE.get_or_init(TraceStore::from_env)
+    dir: PathBuf,
 }
 
 impl TraceStore {
-    fn from_env() -> Self {
-        // An explicit IVM_TRACE_DIR wins even under IVM_SMOKE (CI's
-        // determinism job captures smoke-sized traces into throwaway
-        // directories); only the *default* on-disk location is disabled
-        // by smoke mode.
-        let dir = match std::env::var_os("IVM_TRACE_DIR") {
-            Some(d) => Some(PathBuf::from(d)),
-            None if crate::smoke() => None,
-            None => Some(ivm_obs::workspace_root().join("results").join("traces")),
-        };
-        Self { dir }
-    }
-
-    /// A store persisting to `dir` unconditionally (even under smoke).
-    /// Tests use this to exercise the on-disk recovery path against a
-    /// private directory.
+    /// A store persisting to `dir`.
     pub fn with_dir(dir: impl Into<PathBuf>) -> Self {
-        Self { dir: Some(dir.into()) }
+        Self { dir: dir.into() }
     }
 
     /// The dispatch trace of `vm` replaying `exec` under `technique`,
@@ -159,28 +147,15 @@ impl TraceStore {
     ) -> Arc<StoredTrace> {
         let tech_id = technique.id();
         let expected = dispatch_spec_hash(vm.spec(), vm.program(), technique, training);
-        let path = self
-            .dir
-            .as_ref()
-            .map(|d| d.join(frontend).join(bench).join(format!("{tech_id}.dtrace")));
+        let path = self.dir.join(frontend).join(bench).join(format!("{tech_id}.dtrace"));
 
-        if let Some((trace, bytes)) =
-            path.as_deref().and_then(|p| load_valid(p, expected, &tech_id))
-        {
+        if let Some((trace, bytes)) = load_valid(&path, expected, &tech_id) {
             record_meta(true, trace.len() as u64, bytes);
             return Arc::new(StoredTrace { trace });
         }
-        let _span = ivm_obs::span::enter("trace_capture");
-        // The dispatch stream does not depend on the machine model:
-        // control flow never consults the predictor or the caches, so
-        // capture runs on the cheapest machine there is.
-        let engine = Engine::new(IdealBtb::new(), Box::new(PerfectIcache), CycleCosts::celeron())
-            .with_observer(DispatchTrace::new(expected, tech_id));
-        let (_, trace) = ivm_core::measure_trace_with(vm, exec, technique, engine, training);
+        let trace = crate::pipeline::capture(vm, exec, technique, training);
         let encoded = trace.to_bytes();
-        if let Some(p) = path.as_deref() {
-            persist(p, &encoded);
-        }
+        persist(&path, &encoded);
         record_meta(false, trace.len() as u64, encoded.len() as u64);
         Arc::new(StoredTrace { trace })
     }
@@ -212,8 +187,6 @@ fn persist(path: &Path, encoded: &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ivm_cache::{CpuSpec, PredictorKind};
-    use ivm_core::ReplicaSelection;
 
     /// Acquires calc/triangle through `store`, checks that the store kept
     /// no reference to the trace, and returns it plus the path the store
@@ -277,54 +250,5 @@ mod tests {
         assert_eq!(rewritten, good, "recapture rewrites the artifact");
 
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn capture_stream_does_not_depend_on_the_machine() {
-        // The store captures on an ideal BTB with a perfect I-cache. Its
-        // stream must equal what an observer records on full machine
-        // models: the Pentium 4, with its trace cache, and the Pentium M,
-        // whose history predictor misses where the ideal BTB hits.
-        let fe = crate::frontend("forth");
-        let image = fe.image("brew");
-        let (exec, _) = ivm_core::record(&*image).expect("recording run");
-        let training = fe.training_for("brew");
-        let store = TraceStore { dir: None };
-        let static_repl =
-            Technique::StaticRepl { budget: 100, selection: ReplicaSelection::RoundRobin };
-        for cpu in [CpuSpec::pentium4_northwood(), CpuSpec::pentium_m()] {
-            for technique in [Technique::Threaded, static_repl] {
-                let stored = store.get_or_capture(
-                    "forth",
-                    "brew",
-                    &*image,
-                    &exec,
-                    technique,
-                    Some(&training),
-                );
-                let hash =
-                    dispatch_spec_hash(image.spec(), image.program(), technique, Some(&training));
-                let engine =
-                    Engine::for_cpu(&cpu).with_observer(DispatchTrace::new(hash, technique.id()));
-                let (run, observed) = ivm_core::measure_trace_with(
-                    &*image,
-                    &exec,
-                    technique,
-                    engine,
-                    Some(&training),
-                );
-                let label = format!("{}/{technique}", cpu.name);
-                assert!(run.counters.icache_misses > 0, "{label}: the I-cache misses");
-                if matches!(cpu.predictor, PredictorKind::TwoLevel(_)) {
-                    let ideal =
-                        ivm_core::simulate_many(stored.trace(), &mut [IdealBtb::new().into()]);
-                    assert_ne!(
-                        run.counters.indirect_mispredicted, ideal[0].mispredicted,
-                        "{label}: the machine must predict unlike the capture machine"
-                    );
-                }
-                assert_eq!(stored.trace(), &observed, "{label}: streams differ");
-            }
-        }
     }
 }

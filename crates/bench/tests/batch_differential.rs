@@ -1,15 +1,16 @@
 //! Observers agree with the engine. For each frontend and technique,
-//! attaching either production observer — the trace store's
-//! [`DispatchTrace`] or the reports' [`DispatchAttribution`] — must leave
-//! the measured run bit-identical, and what the observer collected must
-//! account for exactly the dispatches the engine counted.
+//! attaching any production observer — the [`DispatchTrace`] `sampling`
+//! captures, the [`PredictorSweep`] the sweep reports stream into, or the
+//! reports' [`DispatchAttribution`] — must leave the measured run
+//! bit-identical, and what the observer collected must account for
+//! exactly the dispatches the engine counted.
 
 use ivm_bench::frontend;
 use ivm_bpred::{AnyPredictor, Btb, BtbConfig};
 use ivm_cache::{CycleCosts, Icache, IcacheConfig};
 use ivm_core::{
-    simulate_many, DispatchObserver, DispatchTrace, Engine, ExecutionTrace, GuestVm, Profile,
-    RunResult, Technique,
+    simulate_many, DispatchObserver, DispatchTrace, Engine, ExecutionTrace, GuestVm,
+    PredictorSweep, Profile, RunResult, Technique,
 };
 use ivm_obs::DispatchAttribution;
 
@@ -75,6 +76,16 @@ fn batched_observers_agree_with_the_engine() {
                 (swept.executed, swept.mispredicted),
                 expected,
                 "{label}: the captured stream does not reproduce the engine's predictions"
+            );
+
+            let sweep = PredictorSweep::new(vec![celeron_btb()]);
+            let (swept_run, sweep) = replay(&*image, &exec, technique, &training, sweep);
+            assert_same_run(&format!("{label} with a sweep"), &plain, &swept_run);
+            let streamed = sweep.finish().0[0];
+            assert_eq!(
+                (streamed.executed, streamed.mispredicted),
+                expected,
+                "{label}: the streamed sweep does not reproduce the engine's predictions"
             );
 
             let attrib = DispatchAttribution::new().with_btb_sets(BtbConfig::celeron());

@@ -6,10 +6,11 @@
 //! predictor actually sees — the `(branch, target)` native-address pair
 //! of every executed indirect dispatch, in execution order, exactly the
 //! stream a [`crate::DispatchObserver`] sees. Because control
-//! flow never depends on the predictor, one captured trace replaces a
-//! re-execution of the interpreter for *every* predictor configuration a
-//! study wants to evaluate, and [`simulate_many`] feeds the decoded
-//! stream through all of them in one pass.
+//! flow never depends on the predictor, one replay of the interpreter
+//! serves *every* predictor configuration a study wants to evaluate:
+//! [`PredictorSweep`] feeds the stream through all of them as the replay
+//! produces it, and [`simulate_many`] does the same over a stored
+//! trace.
 //!
 //! # Binary format (version 3)
 //!
@@ -501,23 +502,95 @@ impl DispatchObserver for DispatchTrace {
 /// over the stream, returning one [`PredStats`] per predictor in order.
 ///
 /// This is the single-pass sweep driver: for N predictors it performs the
-/// same `predict_and_update` calls as N separate replays, but decodes the
+/// same `predict_and_update` calls as N separate replays, but walks the
 /// event stream once, so sweep cost is dominated by predictor work
-/// instead of stream traffic. Each predictor walks the decoded events as
-/// its own inner loop ([`AnyPredictor::run_stream`], which matches the
-/// variant once per pass, so the loop pays no per-event dispatch) rather
-/// than interleaving predictors per event. Outcomes are bit-identical to
+/// instead of stream traffic. Each predictor walks the events as its own
+/// inner loop ([`AnyPredictor::run_stream`], which matches the variant
+/// once per pass, so the loop pays no per-event dispatch) rather than
+/// interleaving predictors per event. Outcomes are bit-identical to
 /// running each predictor alone — predictors share no state, so the loop
 /// order is unobservable.
 pub fn simulate_many(trace: &DispatchTrace, predictors: &mut [AnyPredictor]) -> Vec<PredStats> {
+    let mut stats = vec![PredStats::default(); predictors.len()];
+    sweep(&trace.events, predictors, &mut stats);
+    stats
+}
+
+/// Events a [`PredictorSweep`] buffers before its predictors run over
+/// them: long enough that each chunk amortises the variant match of
+/// [`AnyPredictor::run_stream`], short enough to stay in cache.
+const SWEEP_CHUNK: usize = 4096;
+
+/// A [`DispatchObserver`] that sweeps predictors over a run as it
+/// streams: [`simulate_many`] without a stored trace.
+///
+/// It buffers 4,096 events, then feeds the chunk to each predictor in
+/// turn through the loop `simulate_many` runs, so a predictor's state
+/// (its history, its tables) carries from one chunk into the next and
+/// the counts equal a `simulate_many` over the whole stream. Attach it
+/// to an [`crate::Engine`] with [`crate::Engine::with_observer`]; the
+/// run's `finish` hands it back.
+///
+/// # Examples
+///
+/// ```
+/// use ivm_bpred::{AnyPredictor, Btb, BtbConfig, IdealBtb};
+/// use ivm_core::{DispatchObserver, PredictorSweep};
+///
+/// let zoo: Vec<AnyPredictor> =
+///     vec![IdealBtb::new().into(), Btb::new(BtbConfig::celeron()).into()];
+/// let mut sweep = PredictorSweep::new(zoo);
+/// for target in [0x8000, 0x8000, 0x9000] {
+///     sweep.dispatch(0, 0x1000, target, false);
+/// }
+/// let (stats, _predictors) = sweep.finish();
+/// assert_eq!(stats[0].executed, 3);
+/// assert_eq!(stats[0].mispredicted, 2); // ideal: cold miss + target change
+/// ```
+#[derive(Debug)]
+pub struct PredictorSweep {
+    predictors: Vec<AnyPredictor>,
+    stats: Vec<PredStats>,
+    chunk: Vec<(Addr, Addr)>,
+}
+
+impl PredictorSweep {
+    /// A sweep of `predictors`, in order, over the events to come.
+    pub fn new(predictors: Vec<AnyPredictor>) -> Self {
+        let stats = vec![PredStats::default(); predictors.len()];
+        Self { predictors, stats, chunk: Vec::with_capacity(SWEEP_CHUNK) }
+    }
+
+    /// Runs the last partial chunk and returns one [`PredStats`] per
+    /// predictor, with the predictors themselves for what else they
+    /// tallied (an ITTAGE's provider breakdown).
+    pub fn finish(mut self) -> (Vec<PredStats>, Vec<AnyPredictor>) {
+        sweep(&self.chunk, &mut self.predictors, &mut self.stats);
+        (self.stats, self.predictors)
+    }
+}
+
+impl DispatchObserver for PredictorSweep {
+    #[inline]
+    fn dispatch(&mut self, _from: usize, branch: Addr, target: Addr, _mispredicted: bool) {
+        self.chunk.push((branch, target));
+        if self.chunk.len() == SWEEP_CHUNK {
+            sweep(&self.chunk, &mut self.predictors, &mut self.stats);
+            self.chunk.clear();
+        }
+    }
+}
+
+/// Feeds `events` to each predictor in turn, adding its counts to the
+/// matching `stats` entry: the loop [`simulate_many`] and
+/// [`PredictorSweep`] share.
+fn sweep(events: &[(Addr, Addr)], predictors: &mut [AnyPredictor], stats: &mut [PredStats]) {
     let _span = ivm_harness::span::enter("predictor_sweep");
-    predictors
-        .iter_mut()
-        .map(|p| {
-            let (executed, mispredicted) = p.run_stream(&trace.events);
-            PredStats { executed, mispredicted }
-        })
-        .collect()
+    for (p, s) in predictors.iter_mut().zip(stats) {
+        let (executed, mispredicted) = p.run_stream(events);
+        s.executed += executed;
+        s.mispredicted += mispredicted;
+    }
 }
 
 fn zigzag(v: i64) -> u64 {

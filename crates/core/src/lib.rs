@@ -73,7 +73,7 @@ mod translate;
 pub use cache::Memo;
 pub use dtrace::{
     dispatch_spec_hash, simulate_many, DispatchTrace, DtraceError, IntervalBbv, IntervalIndex,
-    SpecHasher, DTRACE_MAGIC, DTRACE_VERSION,
+    PredictorSweep, SpecHasher, DTRACE_MAGIC, DTRACE_VERSION,
 };
 pub use engine::{DispatchObserver, Engine, Measurement, RunResult};
 pub use events::{NullEvents, VmEvents};

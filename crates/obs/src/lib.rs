@@ -7,8 +7,8 @@
 //! * [`DispatchAttribution`] — the attribution sink breaking
 //!   mispredictions down per VM opcode, per instance and per BTB set.
 //! * [`RunManifest`] — the provenance block (workspace version, smoke
-//!   mode, `IVM_*` env overrides, executor, trace-store and phase
-//!   sections) attached to every report.
+//!   mode, `IVM_*` env overrides, executor and phase sections) attached
+//!   to every report.
 //! * [`span`] — phase-attributed wall-time profiling of the pipeline
 //!   itself: aggregation of the span stream recorded through
 //!   `ivm_harness::span` guards into per-phase statistics (the
@@ -30,7 +30,7 @@ pub mod span;
 
 pub use attrib::{ittage_breakdown_json, DispatchAttribution, OpTally, SetConflict, Tally};
 pub use json::{parse, Json, ParseError};
-pub use manifest::{smoke_enabled, CellWall, ExecutorMeta, RunManifest, TraceMeta};
+pub use manifest::{smoke_enabled, CellWall, ExecutorMeta, RunManifest};
 pub use span::PhaseAgg;
 
 use std::path::PathBuf;

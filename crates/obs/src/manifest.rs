@@ -11,10 +11,8 @@ use crate::span::PhaseAgg;
 /// changes. The exceptions are the `env` section (which records
 /// machine-local `IVM_*` overrides such as `IVM_JOBS`), the optional
 /// `executor` section (which records wall-clock timing of the parallel
-/// experiment executor), the optional `trace` section (whose cache
-/// hit/miss counts depend on what `results/traces/` already held), and
-/// the optional `phases` section (per-phase span wall times);
-/// determinism comparisons exclude all four — see
+/// experiment executor), and the optional `phases` section (per-phase
+/// span wall times); determinism comparisons exclude all three — see
 /// `scripts/check_determinism.py`.
 ///
 /// # Examples
@@ -40,51 +38,10 @@ pub struct RunManifest {
     /// Parallel-executor metadata, when the run used the experiment
     /// executor. Timing-bearing and therefore not deterministic.
     pub executor: Option<ExecutorMeta>,
-    /// Dispatch-trace cache metadata, when the run captured or reused
-    /// cached dispatch traces. Depends on prior disk state (hit/miss
-    /// counts) and is therefore excluded from determinism comparisons.
-    pub trace: Option<TraceMeta>,
     /// Per-phase span wall-time aggregates ([`crate::span::aggregate`]),
     /// when any spans were recorded. Wall-time-bearing and therefore
     /// excluded from determinism comparisons.
     pub phases: Option<Vec<PhaseAgg>>,
-}
-
-/// How the dispatch-trace cache behaved during one run: captures versus
-/// cache hits, and the volume of trace data involved.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TraceMeta {
-    /// Traces captured fresh (cache misses) during this run.
-    pub captured: usize,
-    /// Traces loaded from a valid file in the on-disk cache.
-    pub cache_hits: usize,
-    /// Total dispatch events across all traces this run touched.
-    pub events: u64,
-    /// Total encoded size of those traces, in bytes.
-    pub bytes: u64,
-}
-
-impl TraceMeta {
-    /// Folds one trace acquisition into the summary.
-    pub fn absorb(&mut self, cache_hit: bool, events: u64, bytes: u64) {
-        if cache_hit {
-            self.cache_hits += 1;
-        } else {
-            self.captured += 1;
-        }
-        self.events += events;
-        self.bytes += bytes;
-    }
-
-    /// Serialises the trace section.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("captured", self.captured as u64)
-            .with("cache_hits", self.cache_hits as u64)
-            .with("events", self.events)
-            .with("bytes", self.bytes)
-    }
 }
 
 /// Wall time of one executed experiment cell.
@@ -173,7 +130,6 @@ impl RunManifest {
             smoke: smoke_enabled(),
             env,
             executor: None,
-            trace: None,
             phases: None,
         }
     }
@@ -182,13 +138,6 @@ impl RunManifest {
     #[must_use]
     pub fn with_executor(mut self, executor: Option<ExecutorMeta>) -> Self {
         self.executor = executor;
-        self
-    }
-
-    /// Attaches dispatch-trace cache metadata (builder style).
-    #[must_use]
-    pub fn with_trace(mut self, trace: Option<TraceMeta>) -> Self {
-        self.trace = trace;
         self
     }
 
@@ -210,9 +159,6 @@ impl RunManifest {
         j.set("env", Json::Obj(env));
         if let Some(executor) = &self.executor {
             j.set("executor", executor.to_json());
-        }
-        if let Some(trace) = &self.trace {
-            j.set("trace", trace.to_json());
         }
         if let Some(phases) = &self.phases {
             j.set("phases", crate::span::phases_json(phases));
@@ -240,7 +186,6 @@ mod tests {
             smoke: true,
             env: vec![("IVM_SMOKE".into(), "1".into())],
             executor: None,
-            trace: None,
             phases: None,
         };
         let j = parse(&m.to_json().to_json()).unwrap();
@@ -278,29 +223,6 @@ mod tests {
         assert_eq!(cells.len(), 3);
         assert_eq!(cells[0].get("id").and_then(Json::as_str), Some("forth/brew/switch"));
         assert_eq!(cells[0].get("wall_ms").and_then(Json::as_f64), Some(1.5));
-    }
-
-    #[test]
-    fn trace_metadata_serialises_and_aggregates() {
-        let mut meta = TraceMeta::default();
-        meta.absorb(false, 1_000, 2_048);
-        meta.absorb(true, 1_000, 2_048);
-        meta.absorb(true, 500, 700);
-        assert_eq!(meta.captured, 1);
-        assert_eq!(meta.cache_hits, 2);
-
-        let m = RunManifest::capture("demo").with_trace(Some(meta));
-        let j = parse(&m.to_json().to_json()).unwrap();
-        let trace = j.get("trace").expect("trace section present");
-        assert_eq!(trace.get("captured").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(trace.get("cache_hits").and_then(Json::as_f64), Some(2.0));
-        assert_eq!(trace.get("events").and_then(Json::as_f64), Some(2500.0));
-        assert_eq!(trace.get("bytes").and_then(Json::as_f64), Some(4796.0));
-        assert_eq!(
-            RunManifest::capture("demo").to_json().get("trace"),
-            None,
-            "no trace section when absent"
-        );
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! spans without depending on this crate. This module is the consumer
 //! side: [`aggregate`] folds a span snapshot into deterministic-ordered
 //! [`PhaseAgg`] rows (count, total, self time per phase name) — the
-//! `phases` section of [`crate::RunManifest`] and the substance of the
-//! `where_time_goes` report.
+//! `phases` section of [`crate::RunManifest`].
 //!
 //! Wall times are nondeterministic by nature; everything derived here is
 //! excluded from determinism comparisons (`scripts/check_determinism.py`
@@ -55,7 +54,7 @@ fn ms(us: u64) -> f64 {
 }
 
 /// The span name the parallel executor wraps every experiment cell in.
-pub const CELL_SPAN: &str = "cell";
+const CELL_SPAN: &str = "cell";
 
 /// Folds span records into one [`PhaseAgg`] per phase name, sorted by
 /// name. The *structure* (names and counts) is deterministic for a
@@ -86,19 +85,6 @@ pub fn aggregate(records: &[SpanRecord]) -> Vec<PhaseAgg> {
 #[must_use]
 pub fn phases_json(phases: &[PhaseAgg]) -> Json {
     Json::Arr(phases.iter().map(PhaseAgg::to_json).collect())
-}
-
-/// Total wall time spent inside executor cells: the summed duration of
-/// *root* `cell` spans. Nested `cell` spans — a cell that runs another
-/// `run_cells` batch serially on its own thread (nested training grids
-/// at `IVM_JOBS=1`, or on single-core machines) — are already inside a
-/// root cell's duration and must not count twice. Because self times
-/// partition each root's duration, the summed `in_cell_self_us` across
-/// [`aggregate`]'s phases equals exactly this value — which is what
-/// makes `where_time_goes` percentages sum to 100.
-#[must_use]
-pub fn cell_wall_us(records: &[SpanRecord]) -> u64 {
-    records.iter().filter(|r| r.name == CELL_SPAN && r.depth == 0).map(|r| r.dur_us).sum()
 }
 
 #[cfg(test)]
@@ -140,8 +126,8 @@ mod tests {
 
     #[test]
     fn self_times_partition_the_roots() {
-        // The invariant where_time_goes relies on: summed self time
-        // equals summed root duration.
+        // Summed self time equals summed root duration, so phase shares
+        // of the manifest add up to the whole.
         let records = vec![
             rec("cell", "cell", 0, 0, 200, 20),
             rec("translate", "cell", 1, 0, 30, 30),
@@ -163,21 +149,6 @@ mod tests {
         assert_eq!(row.get("total_ms").and_then(Json::as_f64), Some(1.5));
         assert_eq!(row.get("self_ms").and_then(Json::as_f64), Some(1.5));
         assert_eq!(row.get("count").and_then(Json::as_f64), Some(1.0));
-    }
-
-    #[test]
-    fn cell_wall_counts_only_root_cells_and_matches_in_cell_self() {
-        // A serial nested batch: the outer cell (dur 300) contains a
-        // nested cell (dur 100) which contains a train span (dur 80).
-        let records = vec![
-            rec("cell", "cell", 0, 0, 300, 200),
-            rec("cell", "cell", 1, 20, 100, 20),
-            rec("train", "cell", 2, 30, 80, 80),
-            rec("cell", "cell", 0, 0, 50, 50),
-        ];
-        assert_eq!(cell_wall_us(&records), 350, "root cells only, nested cell not re-counted");
-        let in_cell_total: u64 = aggregate(&records).iter().map(|p| p.in_cell_self_us).sum();
-        assert_eq!(in_cell_total, 350, "in-cell self times partition the root cell wall");
     }
 
     #[test]

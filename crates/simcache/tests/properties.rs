@@ -98,6 +98,90 @@ fn bigger_cache_never_worse() {
     });
 }
 
+/// The reference model of an [`Icache`]: each set lists its resident
+/// line numbers in LRU order, least recently used first. A hit moves its
+/// line to the back; a miss evicts the front line of a full set, appends
+/// the new one and charges the set.
+struct ReferenceIcache {
+    assoc: usize,
+    line_size: u64,
+    sets: Vec<Vec<u64>>,
+    misses: Vec<u64>,
+}
+
+impl ReferenceIcache {
+    fn new(cfg: IcacheConfig) -> Self {
+        let sets = cfg.capacity / cfg.line_size / cfg.assoc;
+        Self {
+            assoc: cfg.assoc,
+            line_size: cfg.line_size as u64,
+            sets: vec![Vec::new(); sets],
+            misses: vec![0; sets],
+        }
+    }
+
+    fn fetch(&mut self, addr: u64, len: u32) -> u64 {
+        if len == 0 {
+            return 0;
+        }
+        let mut missed = 0;
+        for line in addr / self.line_size..=(addr + u64::from(len) - 1) / self.line_size {
+            let index = (line % self.sets.len() as u64) as usize;
+            let set = &mut self.sets[index];
+            match set.iter().position(|&l| l == line) {
+                Some(i) => {
+                    set.remove(i);
+                }
+                None => {
+                    if set.len() == self.assoc {
+                        set.remove(0);
+                    }
+                    self.misses[index] += 1;
+                    missed += 1;
+                }
+            }
+            set.push(line);
+        }
+        missed
+    }
+}
+
+/// The `Icache` gives the reference model's miss count on every fetch and
+/// its per-set misses at the end, over random geometries (1 to 64 sets, 1
+/// to 8 ways, 16 to 64 B lines) and fetches from an address pool three
+/// times the capacity. Half the fetches come from a smaller working set,
+/// so lines are reused as well as evicted; lengths up to two lines make
+/// fetches span lines, and zero-length fetches touch nothing.
+#[test]
+fn icache_matches_reference_lru_model() {
+    prop::check("icache_matches_reference_lru_model", prop::Config::from_env(), |src| {
+        let sets = 1usize << src.int_in(0u32..7);
+        let assoc = src.int_in(1usize..9);
+        let line_size = src.pick(&[16usize, 32, 64]);
+        let cfg = IcacheConfig { capacity: sets * assoc * line_size, line_size, assoc };
+        let pool = 3 * cfg.capacity as u64;
+        let working_set = src.int_in(1u64..pool + 1);
+        let fetches = src.int_in(1usize..600);
+        let mut cache = Icache::new(cfg);
+        let mut reference = ReferenceIcache::new(cfg);
+        for i in 0..fetches {
+            let addr = if src.bool() { src.int_in(0..working_set) } else { src.int_in(0..pool) };
+            let len = src.int_in(0u32..2 * line_size as u32 + 1);
+            prop_assert_eq!(
+                cache.fetch(addr, len),
+                reference.fetch(addr, len),
+                "{:?} diverged from the LRU model at fetch {} ({:#x}, {} B)",
+                cfg,
+                i,
+                addr,
+                len
+            );
+        }
+        prop_assert_eq!(cache.set_misses(), reference.misses, "{:?}: per-set misses", cfg);
+        Ok(())
+    });
+}
+
 /// Cycle model is linear and non-negative.
 #[test]
 fn cycles_linear() {

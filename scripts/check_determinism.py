@@ -3,26 +3,20 @@
 
 The workspace guarantees that report output is independent of the worker
 count: running a report binary with IVM_JOBS=1 and IVM_JOBS=N must produce
-identical results. This script compares two output directories produced by
-such runs and fails on any difference. Stdlib only.
+identical results. This script compares two directories of JSON reports
+produced by such runs and fails on any difference. Stdlib only.
 
-Four manifest sections are excluded from the comparison, because they
+Three manifest sections are excluded from the comparison, because they
 are *supposed* to differ between runs:
 
 * manifest.env      — records the IVM_* environment (contains IVM_JOBS)
 * manifest.executor — wall-clock timing of the parallel executor
-* manifest.trace    — dispatch-trace cache hit/miss counters (depend on
-                      what an earlier run left in the cache, not on the
-                      results themselves)
 * manifest.phases   — per-phase span wall times (wall-clock by nature)
 
 No file is skipped. Everything else — every table value, metric and
 attribution breakdown — must be identical. *.json files are compared
 after dropping the excluded sections and re-serialising canonically
-(sorted keys); all other files — the binary `.dtrace` dispatch traces
-captured under IVM_TRACE_DIR — are compared byte for byte. `.dtrace` files are additionally required to start with
-the `IVMT` format magic, so a comparison of two identically-torn files
-cannot pass silently.
+(sorted keys); any other file is compared byte for byte.
 
 Usage:
     scripts/check_determinism.py <dir-a> <dir-b>
@@ -45,7 +39,6 @@ def strip_nondeterministic(doc):
         if isinstance(manifest, dict):
             manifest.pop("env", None)
             manifest.pop("executor", None)
-            manifest.pop("trace", None)
             manifest.pop("phases", None)
     return doc
 
@@ -68,15 +61,9 @@ def compare(dir_a: Path, dir_b: Path) -> list[str]:
         if rel.suffix == ".json":
             try:
                 if canonical_json(a) != canonical_json(b):
-                    problem = "JSON differs outside manifest.{env,executor,trace,phases}"
+                    problem = "JSON differs outside manifest.{env,executor,phases}"
             except json.JSONDecodeError as e:
                 problem = f"not valid JSON: {e}"
-        elif rel.suffix == ".dtrace":
-            da, db = a.read_bytes(), b.read_bytes()
-            if not (da.startswith(b"IVMT") and db.startswith(b"IVMT")):
-                problem = "dispatch trace lacks the IVMT format magic"
-            elif da != db:
-                problem = "bytes differ"
         elif a.read_bytes() != b.read_bytes():
             problem = "bytes differ"
         if problem:

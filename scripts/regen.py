@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""Regenerate results/*.txt from cold trace caches and byte-compare them.
+"""Regenerate results/*.txt and byte-compare them with the committed files.
 
-Builds the report binaries in release mode, then runs each one with a
-fresh, empty IVM_TRACE_DIR and with IVM_SMOKE removed from the
-environment (full size), and compares its standard output byte for byte
-with the committed results/<bin>.txt. For every binary it prints the
+Builds the report binaries in release mode, then runs each one with
+IVM_SMOKE removed from the environment (full size), and compares its
+standard output byte for byte with the committed results/<bin>.txt. For every binary it prints the
 verdict, the wall time and the peak RSS. The peak RSS comes from the
 rusage os.wait4 returns for that one child: RUSAGE_CHILDREN would report
 the largest child seen so far, not this binary's own. It has a floor:
@@ -49,13 +48,11 @@ def first_difference(expected: bytes, got: bytes) -> str:
 
 
 def run(bin_name: str) -> bool:
-    """Runs one binary cold and reports; returns whether it matched."""
+    """Runs one binary and reports; returns whether it matched."""
     expected = (RESULTS / f"{bin_name}.txt").read_bytes()
     env = dict(os.environ)
     env.pop("IVM_SMOKE", None)
-    with tempfile.TemporaryDirectory(prefix="regen-traces-") as traces, \
-            tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        env["IVM_TRACE_DIR"] = traces
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         start = time.monotonic()
         proc = subprocess.Popen([ROOT / "target" / "release" / bin_name],
                                 cwd=ROOT, env=env, stdout=out, stderr=err)
